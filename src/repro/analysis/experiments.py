@@ -152,9 +152,9 @@ def fig5_characterization(
         for plane in range(chip.geometry.planes_per_chip):
             series: List[Tuple[int, float]] = []
             for block in range(erase_blocks):
-                if chip.is_bad(plane, block):
+                measurement = prober.try_probe_block(plane, block)
+                if measurement is None:
                     continue
-                measurement = prober.probe_block(plane, block)
                 series.append((block, measurement.erase_latency_us))
                 if plane == 0 and block in curve_blocks:
                     program_curves[(chip.chip_id, block)] = measurement.lwl_latencies()

@@ -12,7 +12,6 @@ from typing import List, Optional, Sequence
 from repro.assembly.base import LanePool
 from repro.characterization.prober import Prober
 from repro.nand.chip import FlashChip
-from repro.nand.errors import EnduranceExceededError
 
 
 def build_lane_pools(
@@ -24,8 +23,10 @@ def build_lane_pools(
 ) -> List[LanePool]:
     """Probe ``blocks`` on each chip (one lane per chip) and pool the results.
 
-    Bad / worn-out blocks are skipped, so pools may end up slightly uneven;
-    assemblers consume ``min(len(pool))`` superblocks.
+    Bad, worn-out and failing blocks are skipped
+    (:meth:`~repro.characterization.prober.Prober.try_probe_block`), so
+    pools may end up slightly uneven; assemblers consume
+    ``min(len(pool))`` superblocks.
     """
     if len(chips) < 2:
         raise ValueError("need at least two chips (lanes)")
@@ -35,15 +36,8 @@ def build_lane_pools(
         pool = LanePool(lane=lane)
         for plane in planes:
             for block in blocks:
-                if chip.is_bad(plane, block):
-                    continue
-                try:
-                    if target_pe is not None:
-                        measurement = prober.probe_block_at_pe(plane, block, target_pe)
-                    else:
-                        measurement = prober.probe_block(plane, block)
-                except EnduranceExceededError:
-                    continue
-                pool.blocks.append(measurement)
+                measurement = prober.try_probe_block(plane, block, target_pe)
+                if measurement is not None:
+                    pool.blocks.append(measurement)
         pools.append(pool)
     return pools

@@ -14,14 +14,14 @@ count of positions where their vectors disagree (Equation 1):
   (first-come), exactly as the paper's gathering process specifies.
 
 Signatures are plain ``uint16`` numpy arrays of length ``layers*strings`` so
-one ``!=``-and-sum computes Equation 1; the STR-median variant is additionally
-exposed as a :class:`BitVector` for the QSTR-MED XOR path (`repro.core.eigen`
-cross-checks the two representations).
+one ``!=``-and-sum computes Equation 1.  The STR-median bits come from
+:func:`str_median_bits`, the kernel `repro.core.eigen` also packs into a
+:class:`BitVector` for the QSTR-MED XOR path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
@@ -71,21 +71,41 @@ def str_rank_signature(measurement: BlockMeasurement) -> np.ndarray:
     return signature.reshape(-1)
 
 
+def str_median_bits(
+    latencies: np.ndarray, fast_slots: Optional[int] = None
+) -> np.ndarray:
+    """STR-median speed bits along the last (strings) axis.
+
+    ``latencies`` has shape ``(..., strings)``: one layer, a block's
+    ``(layers, strings)`` matrix, or a ``(k, layers, strings)`` stack.  On
+    each layer the ``fast_slots`` fastest strings (default: half) get bit
+    0 and the rest bit 1; ties go to the lower string index, the paper's
+    first-come rule.  Returns ``uint16`` bits of the input's shape.
+
+    This is the one STR-median kernel: the direction-8 signature, the
+    QSTR-MED eigen sequence (:mod:`repro.core.eigen`) and the batch twin
+    (:mod:`repro.kernels.signatures`) all call it.
+    """
+    values = np.asarray(latencies, dtype=float)
+    strings = values.shape[-1]
+    if fast_slots is None:
+        fast_slots = strings // 2
+    if not 0 <= fast_slots <= strings:
+        raise ValueError(f"fast_slots {fast_slots} out of range for {strings} strings")
+    # A string's rank on its layer is the inverse of the stable sort order;
+    # the first ``fast_slots`` ranks are the fast slots.
+    order = np.argsort(values, axis=-1, kind="stable")
+    ranks = np.argsort(order, axis=-1)
+    return (ranks >= fast_slots).astype(np.uint16)
+
+
 def str_median_signature(measurement: BlockMeasurement) -> np.ndarray:
     """Per-layer speed bits (direction 8): fastest half of strings -> 0.
 
     With four strings, the two fastest get bit 0 and the two slowest bit 1;
     ties are resolved first-come (lower string index wins a fast slot).
     """
-    matrix = measurement.wl_latencies_us
-    layers, strings = matrix.shape
-    fast_slots = strings // 2
-    order = np.argsort(matrix, axis=1, kind="stable")
-    signature = np.ones((layers, strings), dtype=np.uint16)
-    np.put_along_axis(
-        signature, order[:, :fast_slots], np.uint16(0), axis=1
-    )
-    return signature.reshape(-1)
+    return str_median_bits(measurement.wl_latencies_us).reshape(-1)
 
 
 SIGNATURE_BUILDERS: Dict[str, Callable[[BlockMeasurement], np.ndarray]] = {

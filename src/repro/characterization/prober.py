@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.characterization.datasets import BlockMeasurement, MeasurementSet
 from repro.nand.chip import FlashChip
-from repro.nand.errors import BadBlockError, EnduranceExceededError
+from repro.nand.errors import BadBlockError
 
 
 @dataclass(frozen=True)
@@ -39,21 +37,54 @@ class Prober:
         return self._chip
 
     def probe_block(self, plane: int, block: int) -> BlockMeasurement:
-        """Erase + fully program one block, recording every latency."""
-        erase = self._chip.erase_block(plane, block)
-        latencies = self._chip.program_block(plane, block)
-        matrix = np.array(latencies, dtype=float).reshape(
+        """Erase + fully program one block, recording every latency.
+
+        A FAIL status from the erase or from a word-line program (an
+        injected fault, or an offline plane) leaves the block without a
+        complete measurement and raises :class:`BadBlockError` naming it.
+        """
+        chip = self._chip
+        erase = chip.erase_block(plane, block)
+        if not erase.ok:
+            raise BadBlockError(
+                f"chip {chip.chip_id} block p{plane}/b{block}: erase FAIL while probing"
+            )
+        programmed = chip.program_block(plane, block)
+        if not programmed.ok:
+            raise BadBlockError(
+                f"chip {chip.chip_id} block p{plane}/b{block}: program FAIL at "
+                f"LWL {chip.programmed_lwls(plane, block)} while probing"
+            )
+        # a read-only view of the chip's latency row, shaped per layer
+        matrix = programmed.latencies_us.reshape(
             self._geometry.layers_per_block, self._geometry.strings_per_layer
         )
-        matrix.setflags(write=False)
         return BlockMeasurement(
-            chip_id=self._chip.chip_id,
+            chip_id=chip.chip_id,
             plane=plane,
             block=block,
-            pe_cycles=self._chip.pe_cycles(plane, block),
+            pe_cycles=chip.pe_cycles(plane, block),
             wl_latencies_us=matrix,
             erase_latency_us=erase.latency_us,
         )
+
+    def try_probe_block(
+        self, plane: int, block: int, target_pe: Optional[int] = None
+    ) -> Optional[BlockMeasurement]:
+        """Probe one block, or return None for a block that has to be skipped.
+
+        The skip rule every probing loop shares: factory-bad and retired
+        blocks are passed over, and so is a block that wears out while being
+        brought to ``target_pe`` or whose erase or program reports FAIL.
+        """
+        if self._chip.is_bad(plane, block):
+            return None
+        try:
+            if target_pe is not None:
+                return self.probe_block_at_pe(plane, block, target_pe)
+            return self.probe_block(plane, block)
+        except BadBlockError:
+            return None
 
     def probe_blocks(
         self,
@@ -65,15 +96,14 @@ class Prober:
         results: List[BlockMeasurement] = []
         for plane in plan.planes:
             for block in plan.blocks:
+                if skip_bad:
+                    measurement = self.try_probe_block(plane, block)
+                    if measurement is not None:
+                        results.append(measurement)
+                    continue
                 if self._chip.is_bad(plane, block):
-                    if skip_bad:
-                        continue
                     raise BadBlockError(f"bad block p{plane}/b{block}")
-                try:
-                    results.append(self.probe_block(plane, block))
-                except EnduranceExceededError:
-                    if not skip_bad:
-                        raise
+                results.append(self.probe_block(plane, block))
         return results
 
     def bring_to_pe(self, plane: int, block: int, target_pe: int) -> None:
@@ -109,13 +139,7 @@ def probe_testbed(
         prober = Prober(chip)
         for plane in planes:
             for block in blocks:
-                if chip.is_bad(plane, block):
-                    continue
-                try:
-                    if target_pe is not None:
-                        measurements.add(prober.probe_block_at_pe(plane, block, target_pe))
-                    else:
-                        measurements.add(prober.probe_block(plane, block))
-                except EnduranceExceededError:
-                    continue
+                measurement = prober.try_probe_block(plane, block, target_pe)
+                if measurement is not None:
+                    measurements.add(measurement)
     return measurements

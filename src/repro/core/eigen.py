@@ -8,22 +8,25 @@ wins a fast slot.  Joining the per-layer bit groups in programming order
 yields the block's *eigen sequence*, and the similarity distance between two
 blocks is ``popcount(eigen_a XOR eigen_b)``.
 
-This module is the exact BitVector twin of
-:func:`repro.assembly.signatures.str_median_signature`; the test-suite
-cross-checks the two representations bit for bit.
+The bits come from the one STR-median kernel,
+:func:`repro.assembly.signatures.str_median_bits`; this module packs them
+into :class:`BitVector` form for the QSTR-MED XOR path.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.assembly.signatures import str_median_bits
 from repro.nand.geometry import NandGeometry
 from repro.utils.bitvec import BitVector
 
 
-def layer_eigen_bits(latencies: Sequence[float], fast_slots: int = None) -> BitVector:
+def layer_eigen_bits(
+    latencies: Sequence[float], fast_slots: Optional[int] = None
+) -> BitVector:
     """Speed bits of one physical word-line layer.
 
     ``latencies`` holds the layer's per-string program latencies in string
@@ -33,18 +36,14 @@ def layer_eigen_bits(latencies: Sequence[float], fast_slots: int = None) -> BitV
     values = np.asarray(latencies, dtype=float)
     if values.ndim != 1 or len(values) == 0:
         raise ValueError("latencies must be a non-empty 1-D sequence")
-    if fast_slots is None:
-        fast_slots = len(values) // 2
-    if not 0 <= fast_slots <= len(values):
-        raise ValueError(f"fast_slots {fast_slots} out of range")
-    order = np.argsort(values, kind="stable")
-    bits = [1] * len(values)
-    for winner in order[:fast_slots]:
-        bits[int(winner)] = 0
-    return BitVector(bits)
+    # a handful of bits: the list constructor beats packing here, and the
+    # gathering unit calls this once per programmed layer
+    return BitVector(str_median_bits(values, fast_slots).tolist())
 
 
-def eigen_sequence(wl_latencies: np.ndarray, fast_slots: int = None) -> BitVector:
+def eigen_sequence(
+    wl_latencies: np.ndarray, fast_slots: Optional[int] = None
+) -> BitVector:
     """Eigen sequence of a fully-programmed block.
 
     ``wl_latencies`` is the (layers, strings) tPROG matrix; the result joins
@@ -53,8 +52,11 @@ def eigen_sequence(wl_latencies: np.ndarray, fast_slots: int = None) -> BitVecto
     matrix = np.asarray(wl_latencies, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("wl_latencies must be (layers, strings)")
-    parts = [layer_eigen_bits(matrix[layer], fast_slots) for layer in range(matrix.shape[0])]
-    return BitVector.concat(parts)
+    if matrix.shape[0] and not matrix.shape[1]:
+        raise ValueError("wl_latencies needs at least one string per layer")
+    bits = str_median_bits(matrix, fast_slots).reshape(-1)
+    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
+    return BitVector(length=bits.size, value=int.from_bytes(packed.tobytes(), "little"))
 
 
 def eigen_distance(a: BitVector, b: BitVector) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.eigen import layer_eigen_bits
+from repro.core.eigen import eigen_sequence, layer_eigen_bits
 from repro.core.records import BlockRecord
 from repro.nand.geometry import NandGeometry
 from repro.utils.bitvec import BitVector
@@ -117,12 +117,12 @@ class GatheringUnit:
     def complete_block(self, record: BlockRecord) -> None:
         """Deliver a whole block's finished record in one step.
 
-        The vector backend computes a block's latency sum and eigen bits in
-        bulk at seal time instead of feeding word-lines one by one; this
-        closes the open block with the externally computed record.  Only a
-        *fresh* open block (no word-lines reported) may be completed this
-        way — mixing per-word-line reports with a bulk record would double
-        count.
+        :meth:`gather_measurement` and the vector backend's seal-time bulk
+        gathering compute a block's latency sum and eigen bits in one pass
+        instead of feeding word-lines one by one; this closes the open block
+        with that record.  Only a *fresh* open block (no word-lines
+        reported) may be completed this way — mixing per-word-line reports
+        with a bulk record would double count.
         """
         key = (record.lane, record.plane, record.block)
         state = self._open.get(key)
@@ -140,14 +140,32 @@ class GatheringUnit:
     def gather_measurement(
         self, lane: int, plane: int, block: int, wl_latencies: np.ndarray, pe_cycles: int = 0
     ) -> BlockRecord:
-        """Convenience: run a whole measured block through the unit."""
-        self.open_block(lane, plane, block, pe_cycles)
+        """Run a whole measured ``(layers, strings)`` block through the unit.
+
+        Builds in one pass the record that :meth:`open_block` plus one
+        :meth:`report` per word-line in LWL order would produce: the block
+        total is the same strict left fold (``np.cumsum``; ``np.sum`` pairs
+        operands differently), and the eigen sequence the same per-layer
+        STR-median bits.
+        """
+        geometry = self._geometry
         matrix = np.asarray(wl_latencies, dtype=float)
-        record: Optional[BlockRecord] = None
-        for lwl in range(matrix.size):
-            layer, string = divmod(lwl, self._geometry.strings_per_layer)
-            record = self.report(lane, plane, block, lwl, float(matrix[layer, string]))
-        assert record is not None
+        shape = (geometry.layers_per_block, geometry.strings_per_layer)
+        if matrix.shape != shape:
+            raise ValueError(
+                f"block {(lane, plane, block)}: latency matrix {matrix.shape}, "
+                f"geometry needs {shape}"
+            )
+        self.open_block(lane, plane, block, pe_cycles)
+        record = BlockRecord(
+            lane=lane,
+            plane=plane,
+            block=block,
+            pgm_total_us=float(np.cumsum(matrix)[-1]),
+            eigen=eigen_sequence(matrix),
+            pe_cycles=pe_cycles,
+        )
+        self.complete_block(record)
         return record
 
     # -- footprint accounting (Section V-D1) ----------------------------------------

@@ -52,10 +52,30 @@ class SuperpagePredictor:
         self.observations += 1
 
     def observe_record(self, record: BlockRecord, wl_latencies: np.ndarray) -> None:
-        """Bulk-learn from a fully measured block (e.g. at format time)."""
+        """Bulk-learn from a fully measured block (e.g. at format time).
+
+        The same sums as one :meth:`observe` per word-line in LWL order:
+        every LWL position takes one addition, and each bit-conditioned sum
+        is a strict left fold (``np.cumsum``) over that bit's word-lines.
+        """
         flat = np.asarray(wl_latencies, dtype=float).reshape(-1)
-        for lwl, latency in enumerate(flat):
-            self.observe(record.lane, lwl, float(latency), record.eigen[lwl])
+        lwls = self._geometry.lwls_per_block
+        if flat.size != lwls or len(record.eigen) != lwls:
+            raise ValueError(
+                f"need {lwls} word-line latencies and eigen bits, got "
+                f"{flat.size} and {len(record.eigen)}"
+            )
+        lane = record.lane
+        self._sum[lane] += flat
+        self._count[lane] += 1
+        bits = np.array(record.eigen.to_bits())
+        bit_sum = self._bit_sum[lane]
+        for bit in (0, 1):
+            chosen = flat[bits == bit]
+            if chosen.size:
+                bit_sum[bit] = np.cumsum(np.concatenate(([bit_sum[bit]], chosen)))[-1]
+                self._bit_count[lane][bit] += chosen.size
+        self.observations += lwls
 
     # -- prediction --------------------------------------------------------------
 

@@ -192,13 +192,17 @@ class Ftl:
     def format(self) -> None:
         """Burn-in pass: gather every usable block's metadata, list it free.
 
-        Each block is erased, fully programmed once (feeding the gatherer),
-        and erased again so it is ready for allocation — the two-P/E-cycle
-        cost the config's ``bootstrap_pe_budget`` documents.
+        Each block is erased, fully programmed once in one whole-block call
+        (:meth:`~repro.nand.chip.FlashChip.program_block`, gathered in one
+        pass), and erased again so it is ready for allocation — the
+        two-P/E-cycle cost the config's ``bootstrap_pe_budget`` documents.
+        A block whose erase or program reports FAIL, or that wears out, is
+        left out of service.
         """
         if self._formatted:
             raise RuntimeError("already formatted")
         gatherer = GatheringUnit(self.geometry)
+        shape = (self.geometry.layers_per_block, self.geometry.strings_per_layer)
         for lane, chip in self.chips.items():
             for plane in range(self.config.planes_used):
                 for block in range(self.config.usable_blocks_per_plane):
@@ -209,32 +213,20 @@ class Ftl:
                             # injected erase failure: the block is grown-bad
                             # before it ever entered service
                             continue
-                        gatherer.open_block(lane, plane, block, chip.pe_cycles(plane, block))
-                        record: Optional[BlockRecord] = None
-                        latencies: List[float] = []
-                        for lwl in range(self.geometry.lwls_per_block):
-                            result = chip.program_wordline(plane, block, lwl)
-                            if not result.ok:
-                                record = None
-                                break
-                            latencies.append(result.latency_us)
-                            record = gatherer.report(
-                                lane, plane, block, lwl, result.latency_us
-                            )
-                        if record is None or not chip.erase_block(plane, block).ok:
-                            gatherer.abandon_block(lane, plane, block)
+                        pe_cycles = chip.pe_cycles(plane, block)
+                        programmed = chip.program_block(plane, block)
+                        if not programmed.ok or not chip.erase_block(plane, block).ok:
                             continue
                     except EnduranceExceededError:
-                        gatherer.abandon_block(lane, plane, block)
                         continue
-                    assert record is not None
+                    latencies = programmed.latencies_us.reshape(shape)
+                    record = gatherer.gather_measurement(
+                        lane, plane, block, latencies, pe_cycles
+                    )
                     self.allocator.register_free(record)
                     if self.predictor is not None:
                         # warm-start the superpage predictor from the burn-in
-                        for lwl, latency in enumerate(latencies):
-                            self.predictor.observe(
-                                lane, lwl, latency, record.eigen[lwl]
-                            )
+                        self.predictor.observe_record(record, latencies)
         self._formatted = True
 
     def _require_format(self) -> None:

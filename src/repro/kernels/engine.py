@@ -1,13 +1,16 @@
 """The vector backend's FTL/SSD: batched hot paths, byte-identical outputs.
 
 :class:`VectorFtl`/:class:`VectorSsd` subclass the scalar reference and
-replace the three dominant costs of a fault-free device run — format-time
-burn-in, the per-page write path, and super-word-line flushing — with
-struct-of-arrays kernels from :mod:`repro.kernels`.  The equivalence
-contract (DESIGN.md §13) is *exact*: every mapped page, chip state
-transition, metric sample, RNG draw and trace event matches the scalar
-backend bit for bit, which the differential and end-to-end identity tests
-pin down.
+replace the two dominant costs of a fault-free device run after format —
+the per-page write path and super-word-line flushing — with
+struct-of-arrays kernels from :mod:`repro.kernels`.  Format-time burn-in
+needs no override: the one FTL already programs and gathers each block in
+one call (:meth:`~repro.nand.chip.FlashChip.program_block`,
+:meth:`~repro.core.gathering.GatheringUnit.gather_measurement`) under
+every configuration.  The equivalence contract (DESIGN.md §13) is
+*exact*: every mapped page, chip state transition, metric sample, RNG
+draw and trace event matches the scalar backend bit for bit, which the
+differential and end-to-end identity tests pin down.
 
 How the fast write path stays identical:
 
@@ -51,7 +54,6 @@ from repro.kernels.mapping import ArrayPageMapper
 from repro.kernels.signatures import eigen_bitvectors, pack_eigen_bits
 from repro.kernels.variation import block_program_totals
 from repro.nand.chip import FlashChip
-from repro.nand.errors import EnduranceExceededError
 from repro.nand.geometry import PageType
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -119,7 +121,7 @@ class _FastSuperblock:
 
 
 class VectorFtl(Ftl):
-    """The scalar FTL with numpy-batched format and host-write hot paths."""
+    """The scalar FTL with numpy-batched host-write hot paths."""
 
     def __init__(
         self,
@@ -187,7 +189,6 @@ class VectorFtl(Ftl):
         injectors_off = all(
             not chip.injector.enabled for chip in self.chips.values()
         )
-        self._fast_format_ok = injectors_off and self.predictor is None
         #: the construction-time gate: every feature the fast write path
         #: cannot reproduce exactly reverts this FTL to scalar behavior
         self._fast_enabled = (
@@ -204,58 +205,14 @@ class VectorFtl(Ftl):
     # -- format ----------------------------------------------------------------
 
     def format(self) -> None:
-        """Burn-in without per-word-line programming.
+        """The one engine's burn-in, :meth:`Ftl.format`, unchanged.
 
-        The scalar format programs every word-line once purely to *measure*
-        it; the latencies are deterministic functions of the variation
-        profile, so the fast path reads the cached latency matrix directly,
-        reduces it with the batch kernels, and performs only the two real
-        erases (P/E accounting, endurance, state machine are the chip's
-        own).
+        Burn-in runs the whole-block program and gather paths for every
+        configuration, so the vector engine adds nothing here.  The method
+        stays defined on this class because the benchmark's span recorder
+        (``perfbench/spans.py``) wraps ``VectorFtl.format`` by name.
         """
-        if not self._fast_format_ok:
-            super().format()
-            return
-        if self._formatted:
-            raise RuntimeError("already formatted")
-        lwls = self._lwls_per_block
-        survivors: List[Tuple[int, int, int, int]] = []
-        matrices: List[np.ndarray] = []
-        for lane, chip in self.chips.items():
-            profile = chip.profile
-            for plane in range(self.config.planes_used):
-                for block in range(self.config.usable_blocks_per_plane):
-                    if chip.is_bad(plane, block):
-                        continue
-                    try:
-                        if not chip.erase_block(plane, block).ok:
-                            continue
-                        pe = chip.pe_cycles(plane, block)
-                        matrix = profile.block_program_latencies(plane, block, pe)
-                        if not chip.erase_block(plane, block).ok:
-                            continue
-                    except EnduranceExceededError:
-                        continue
-                    survivors.append((lane, plane, block, pe))
-                    matrices.append(matrix)
-        # one batched reduction over every surviving block, registered in
-        # the same (lane, plane, block) order scalar format visits them
-        if survivors:
-            stack = np.stack(matrices)
-            totals = block_program_totals(stack.reshape(len(survivors), -1))
-            eigens = eigen_bitvectors(pack_eigen_bits(stack), lwls)
-            for i, (lane, plane, block, pe) in enumerate(survivors):
-                self.allocator.register_free(
-                    BlockRecord(
-                        lane=lane,
-                        plane=plane,
-                        block=block,
-                        pgm_total_us=float(totals[i]),
-                        eigen=eigens[i],
-                        pe_cycles=pe,
-                    )
-                )
-        self._formatted = True
+        super().format()
 
     # -- fast write path ----------------------------------------------------------
 

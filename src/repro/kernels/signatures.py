@@ -24,6 +24,7 @@ from typing import List
 
 import numpy as np
 
+from repro.assembly.signatures import str_median_bits
 from repro.utils.bitvec import BitVector
 
 
@@ -77,16 +78,13 @@ def batch_str_median(stacks: np.ndarray) -> np.ndarray:
     """Per-layer speed bits per block (direction 8), shape ``(k, L)``.
 
     The fastest ``strings // 2`` strings of each layer get bit 0, the rest
-    bit 1; ties resolve first-come exactly as the scalar kernel and
-    :func:`repro.core.eigen.layer_eigen_bits` do.
+    bit 1; ties resolve first-come.  The bits come from the shared kernel
+    :func:`repro.assembly.signatures.str_median_bits` applied to the whole
+    stack at once.
     """
     arr = _as_stack(stacks)
     k, layers, strings = arr.shape
-    fast_slots = strings // 2
-    order = np.argsort(arr, axis=2, kind="stable")
-    bits = np.ones((k, layers, strings), dtype=np.uint16)
-    np.put_along_axis(bits, order[:, :, :fast_slots], np.uint16(0), axis=2)
-    return bits.reshape(k, layers * strings)
+    return str_median_bits(arr).reshape(k, layers * strings)
 
 
 def pack_eigen_bits(stacks: np.ndarray) -> np.ndarray:

@@ -4,7 +4,12 @@ This package is the substrate that replaces the paper's physical testbed
 (24 SK hynix 3D TLC dies).  See DESIGN.md Section 4 for the latency model.
 """
 
-from repro.nand.chip import FlashChip, MultiPlaneResult, OperationResult
+from repro.nand.chip import (
+    BlockProgramResult,
+    FlashChip,
+    MultiPlaneResult,
+    OperationResult,
+)
 from repro.nand.commands import (
     CommandKind,
     CommandLog,
@@ -51,6 +56,7 @@ from repro.nand.variation import (
 
 __all__ = [
     "FlashChip",
+    "BlockProgramResult",
     "MultiPlaneResult",
     "OperationResult",
     "CommandKind",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,28 @@ class OperationResult:
     @property
     def ok(self) -> bool:
         return self.status is OpStatus.OK
+
+
+@dataclass(frozen=True)
+class BlockProgramResult:
+    """Outcome of :meth:`FlashChip.program_block`.
+
+    ``latencies_us`` holds the tPROG of every word-line the call committed,
+    in LWL order (read-only).  ``status`` is ``FAIL`` when a word-line's
+    program failed: programming stopped there, and that word-line is
+    neither committed nor listed.
+    """
+
+    latencies_us: np.ndarray
+    status: OpStatus = OpStatus.OK
+
+    @property
+    def ok(self) -> bool:
+        return self.status is OpStatus.OK
+
+
+_NO_LATENCIES = np.zeros(0)
+_NO_LATENCIES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -261,17 +283,53 @@ class FlashChip:
         state.next_lwl = lwl + 1
         return OperationResult(latency_us=latency)
 
-    def program_block(self, plane: int, block: int) -> List[float]:
-        """Program every word-line of a block; returns the 384 tPROG values.
+    @profiled("nand.program")
+    def program_block(self, plane: int, block: int) -> BlockProgramResult:
+        """Program the rest of a block, from its next word-line to the last.
 
-        Convenience for the characterization prober, which measures whole
-        blocks (Figure 9's latency table).
+        The whole-block path of the characterization prober and the FTL's
+        burn-in (Figure 9's latency table).  It behaves exactly like calling
+        :meth:`program_wordline` for each remaining LWL in order and
+        stopping at the first FAIL, but checks the block state once and
+        reads the tPROG values from the block's cached latency row.  With
+        an enabled injector every word-line still consults ``plane_dead``
+        and then ``fail_program``, in that order.  A FAIL ends the call: a
+        program FAIL retires the block (a dead plane leaves it as is), and
+        the result carries the FAIL status with the latencies of the
+        word-lines committed before it.
         """
         state = self._state(plane, block)
-        latencies: List[float] = []
-        for lwl in range(state.next_lwl, self._geometry.lwls_per_block):
-            latencies.append(self.program_wordline(plane, block, lwl).latency_us)
-        return latencies
+        lwls = self._geometry.lwls_per_block
+        start = state.next_lwl
+        if start >= lwls:
+            return BlockProgramResult(latencies_us=_NO_LATENCIES)
+        if self.is_bad(plane, block):
+            raise errors.BadBlockError(f"bad block p{plane}/b{block}")
+        if not state.erased:
+            raise errors.ProgramStateError(
+                f"block p{plane}/b{block} must be erased before programming"
+            )
+        row = self._profile.block_program_latencies(
+            plane, block, state.pe_cycles
+        ).reshape(-1)
+        end = lwls
+        status = OpStatus.OK
+        injector = self._injector
+        if injector.enabled:
+            for lwl in range(start, lwls):
+                if injector.plane_dead(plane):
+                    end, status = lwl, OpStatus.FAIL
+                    break
+                if injector.fail_program(plane, block):
+                    state.retired = True
+                    self._grown_bad += 1
+                    end, status = lwl, OpStatus.FAIL
+                    break
+        if end > start:
+            if start == 0:
+                state.programmed_at_hours = self._clock_hours
+            state.next_lwl = end
+        return BlockProgramResult(latencies_us=row[start:end], status=status)
 
     def stress_block(self, plane: int, block: int, cycles: int) -> None:
         """Apply ``cycles`` erase/program stress cycles without timing them.

@@ -106,7 +106,7 @@ class TestSuperwl:
         records = {}
         for block in range(12):
             chip.erase_block(0, block)
-            lat = np.array(chip.program_block(0, block)).reshape(
+            lat = chip.program_block(0, block).latencies_us.reshape(
                 SMALL_GEOMETRY.layers_per_block, SMALL_GEOMETRY.strings_per_layer
             )
             record = unit.gather_measurement(0, 0, block, lat, 0)

@@ -62,8 +62,9 @@ class TestEraseProgram:
 
     def test_program_block_full(self, chip):
         chip.erase_block(0, 2)
-        latencies = chip.program_block(0, 2)
-        assert len(latencies) == SMALL_GEOMETRY.lwls_per_block
+        result = chip.program_block(0, 2)
+        assert result.ok
+        assert len(result.latencies_us) == SMALL_GEOMETRY.lwls_per_block
         assert chip.is_fully_programmed(0, 2)
 
     def test_program_full_block_then_more_fails(self, chip):
