@@ -9,6 +9,7 @@ from typing import Callable, Dict
 from repro.assembly.base import (
     Assembler,
     LanePool,
+    ScoredWindowAssembler,
     Superblock,
     WindowedAssembler,
     ZipAssembler,
@@ -33,7 +34,6 @@ from repro.assembly.rank import (
 )
 from repro.assembly.signatures import (
     SIGNATURE_BUILDERS,
-    SignatureCache,
     lwl_rank_signature,
     pwl_rank_signature,
     signature_distance,
@@ -64,6 +64,7 @@ __all__ = [
     "Assembler",
     "ZipAssembler",
     "WindowedAssembler",
+    "ScoredWindowAssembler",
     "LanePool",
     "Superblock",
     "check_pools",
@@ -81,7 +82,6 @@ __all__ = [
     "StrRankAssembler",
     "StrMedianAssembler",
     "SIGNATURE_BUILDERS",
-    "SignatureCache",
     "lwl_rank_signature",
     "pwl_rank_signature",
     "str_rank_signature",

@@ -8,13 +8,17 @@ eight directions implement; :class:`WindowedAssembler` factors the shared
 machinery of the window-search methods (OPTIMAL / LWL-RANK / PWL-RANK /
 STR-RANK / STR-MED): sort every pool by block program latency first
 (Figure 7, step 1), then pick one combination out of each aligned window.
+:class:`ScoredWindowAssembler` is the greedy frame those five share: it
+scores a window's combinations once and picks every superblock of the
+window from that one score tensor.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -162,9 +166,11 @@ class WindowedAssembler(Assembler):
     ) -> List[Superblock]:
         """Assemble one aligned window completely (``len(windows[0])`` SBs).
 
-        Subclasses may override to do a joint optimization over the whole
-        window (see :class:`~repro.assembly.optimal.OptimalAssembler`); the
-        default repeatedly applies :meth:`choose` to the shrinking window.
+        The default repeatedly applies :meth:`choose` to the shrinking
+        window.  Subclasses may override it to score the window once
+        (:class:`ScoredWindowAssembler`) or to refine the picks jointly
+        (:class:`~repro.assembly.optimal.OptimalAssembler`); this loop stays
+        the per-round reference they must reproduce.
         """
         remaining = [list(window) for window in windows]
         result: List[Superblock] = []
@@ -185,6 +191,9 @@ class WindowedAssembler(Assembler):
 
     def assemble(self, pools: Sequence[LanePool]) -> List[Superblock]:
         count = check_pools(pools)
+        # The counters describe one assembly, as QSTR-MED's do.
+        self.combinations_checked = 0
+        self.pair_checks = 0
         sorted_pools = [pool.sorted_by(lambda m: m.program_total_us) for pool in pools]
         lanes = tuple(pool.lane for pool in pools)
         result: List[Superblock] = []
@@ -195,6 +204,62 @@ class WindowedAssembler(Assembler):
             result.extend(self.assemble_window(windows, lanes))
             position += width
         return result
+
+
+class ScoredWindowAssembler(WindowedAssembler):
+    """Greedy window search over a score that ignores earlier picks.
+
+    :meth:`score_window` gives every combination of a window a score
+    (lower is better) that depends only on the combination's own blocks.
+    So the window is scored once: each round takes the first C-order
+    minimum of that tensor restricted to the blocks still unpicked, which
+    is exactly what :meth:`choose` returns when it rescores the shrunk
+    window.  The counters still follow the paper's accounting, one greedy
+    round over the remaining window at a time (:meth:`count_round`).
+    """
+
+    @abstractmethod
+    def score_window(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
+        """Score of every combination, shape ``tuple(len(w) for w in windows)``."""
+
+    def count_round(self, sizes: Sequence[int]) -> None:
+        """Charge one greedy round over a window of ``sizes`` to the counters."""
+        self.combinations_checked += math.prod(sizes)
+
+    def _scores(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
+        if len(windows) < 2:
+            raise ValueError(f"{self.name} assembly needs at least two lanes")
+        return self.score_window(windows)
+
+    def choose(self, windows: Sequence[Sequence[BlockMeasurement]]) -> Tuple[int, ...]:
+        scores = self._scores(windows)
+        self.count_round(scores.shape)
+        return _first_minimum(scores)
+
+    def assemble_window(
+        self, windows: Sequence[List[BlockMeasurement]], lanes: Tuple[int, ...]
+    ) -> List[Superblock]:
+        scores = self._scores(windows)
+        unpicked = [list(range(len(window))) for window in windows]
+        result: List[Superblock] = []
+        for _ in range(len(windows[0])):
+            round_scores = scores
+            for axis, indices in enumerate(unpicked):
+                round_scores = round_scores.take(indices, axis=axis)
+            self.count_round(round_scores.shape)
+            picks = _first_minimum(round_scores)
+            members = tuple(
+                window[indices.pop(pick)]
+                for window, indices, pick in zip(windows, unpicked, picks)
+            )
+            result.append(Superblock(members=members, lanes=lanes))
+        return result
+
+
+def _first_minimum(scores: np.ndarray) -> Tuple[int, ...]:
+    """Index of the first minimum of ``scores`` in C order."""
+    flat = int(np.argmin(scores))
+    return tuple(int(i) for i in np.unravel_index(flat, scores.shape))
 
 
 def pairwise_signature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,6 +282,16 @@ def min_total_distance_combo(
     ``distance_matrices[(i, j)]`` (i < j) holds the (Wi, Wj) distance matrix
     between lanes i and j.  Returns ``(picks, best_distance, n_combos)``.
     """
+    total = summed_distances(distance_matrices, window_sizes)
+    picks = _first_minimum(total)
+    return picks, float(total[picks]), int(total.size)
+
+
+def summed_distances(
+    distance_matrices: Dict[Tuple[int, int], np.ndarray],
+    window_sizes: Sequence[int],
+) -> np.ndarray:
+    """Summed pairwise distance of every combination, shape ``window_sizes``."""
     n = len(window_sizes)
     shape = tuple(window_sizes)
     total = np.zeros(shape)
@@ -227,6 +302,4 @@ def min_total_distance_combo(
         expand[i] = shape[i]
         expand[j] = shape[j]
         total = total + matrix.reshape(expand)
-    flat_index = int(np.argmin(total))
-    picks = np.unravel_index(flat_index, shape)
-    return tuple(int(p) for p in picks), float(total.flat[flat_index]), int(total.size)
+    return total

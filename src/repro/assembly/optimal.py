@@ -4,12 +4,17 @@ Within each aligned window of ``W`` program-latency-sorted candidates per
 lane, find a partition into ``W`` superblocks with minimal total *measured*
 extra program latency.  Exact minimization is a multi-dimensional assignment
 problem, so — like the paper's "local optimal" — we approximate it: greedy
-exhaustive selection (every remaining combination is scored each round,
+exhaustive selection (every remaining combination is counted each round,
 ``W**lanes`` checks for the first superblock of a window) followed by
 2-opt refinement (member swaps between the window's superblocks until no
 swap lowers the total).  Impractical on a real controller — the paper counts
 1,638,400 combination checks for W=8 over four chips per P/E epoch — but it
 is the ground reference every practical method is judged against.
+
+The host does less work than those counts say: a combination's extra
+latency does not depend on the other picks, so the greedy rounds share one
+totals tensor per window (:class:`ScoredWindowAssembler`), and a swap
+candidate is read from one matrix per lane pass.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.assembly.base import Superblock, WindowedAssembler
+from repro.assembly.base import ScoredWindowAssembler, Superblock
 from repro.characterization.datasets import BlockMeasurement
 
 
@@ -27,7 +32,24 @@ def _extra_of(stack: np.ndarray) -> float:
     return float((stack.max(axis=0) - stack.min(axis=0)).sum())
 
 
-class OptimalAssembler(WindowedAssembler):
+def _combination_extremes(stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-LWL max and min of every combination of ``(Wi, L)`` lane stacks.
+
+    Both have shape ``(W0, ..., Wk-1, L)``.
+    """
+    expanded = []
+    for lane, stack in enumerate(stacks):
+        shape = [1] * len(stacks) + [stack.shape[1]]
+        shape[lane] = stack.shape[0]
+        expanded.append(stack.reshape(shape))
+    high = low = expanded[0]
+    for array in expanded[1:]:
+        high = np.maximum(high, array)
+        low = np.minimum(low, array)
+    return high, low
+
+
+class OptimalAssembler(ScoredWindowAssembler):
     """Exhaustive window search minimizing measured extra program latency."""
 
     name = "optimal"
@@ -39,91 +61,85 @@ class OptimalAssembler(WindowedAssembler):
         self.refine_passes = refine_passes
         self.name = f"optimal({window})"
 
-    # -- greedy exhaustive pick (one superblock) ----------------------------
+    # -- greedy exhaustive pick ---------------------------------------------
 
-    def choose(self, windows: Sequence[Sequence[BlockMeasurement]]) -> Tuple[int, ...]:
-        lanes = len(windows)
-        if lanes < 2:
-            raise ValueError("optimal assembly needs at least two lanes")
+    def score_window(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
+        """Summed extra program latency of every combination of the window."""
         stacks = [
             np.stack([m.lwl_latencies() for m in window]) for window in windows
         ]  # each (Wi, L)
-        sizes = [stack.shape[0] for stack in stacks]
-        self.combinations_checked += int(np.prod(sizes))
-
-        # Chunk over the first lane so the broadcast grid over the remaining
-        # lanes stays modest (W^(n-1) x L floats).
-        rest_shape = tuple(sizes[1:])
-        expanded = []
-        for lane_idx in range(1, lanes):
-            shape = [1] * (lanes - 1)
-            shape[lane_idx - 1] = sizes[lane_idx]
-            expanded.append(stacks[lane_idx].reshape(*shape, -1))
-        rest_max = expanded[0]
-        rest_min = expanded[0]
-        for array in expanded[1:]:
-            rest_max = np.maximum(rest_max, array)
-            rest_min = np.minimum(rest_min, array)
-
-        best_value = np.inf
-        best_picks: Tuple[int, ...] = (0,) * lanes
-        for i0 in range(sizes[0]):
-            first = stacks[0][i0]
-            gaps = np.maximum(rest_max, first) - np.minimum(rest_min, first)
-            totals = gaps.sum(axis=-1)  # shape rest_shape
-            flat = int(np.argmin(totals))
-            value = float(totals.flat[flat])
-            if value < best_value:
-                best_value = value
-                best_picks = (i0,) + tuple(
-                    int(p) for p in np.unravel_index(flat, rest_shape)
-                )
-        return best_picks
+        sizes = tuple(stack.shape[0] for stack in stacks)
+        # Chunk over every lane but the last two, so each chunk's gaps are a
+        # cache-sized W^2 x L grid; each row of L gaps is summed on its own,
+        # so a total does not depend on how the window is chunked.
+        split = max(1, len(stacks) - 2)
+        head_max, head_min = _combination_extremes(stacks[:split])
+        tail_max, tail_min = _combination_extremes(stacks[split:])
+        totals = np.empty(sizes)
+        high = np.empty(tail_max.shape)
+        low = np.empty(tail_min.shape)
+        for index in np.ndindex(*sizes[:split]):
+            np.maximum(tail_max, head_max[index], out=high)
+            np.minimum(tail_min, head_min[index], out=low)
+            np.subtract(high, low, out=high)
+            high.sum(axis=-1, out=totals[index])
+        return totals
 
     # -- window assembly with 2-opt refinement ----------------------------------
 
     def assemble_window(
         self, windows: Sequence[List[BlockMeasurement]], lanes: Tuple[int, ...]
     ) -> List[Superblock]:
-        superblocks = super().assemble_window(windows, lanes)
-        if len(superblocks) < 2 or self.refine_passes == 0:
-            return superblocks
+        return self.refine(super().assemble_window(windows, lanes), lanes)
 
-        # assignment[lane][sb] = the member measurement; refine by swapping
-        # two superblocks' members on one lane when that lowers total extra.
+    def refine(
+        self, superblocks: List[Superblock], lanes: Tuple[int, ...]
+    ) -> List[Superblock]:
+        """2-opt: swap two superblocks' members on one lane while that helps.
+
+        Candidates run lane by lane, pair ``(a, b)`` in order, and a swap is
+        taken as soon as it lowers the pair's summed extra latency by more
+        than 1e-9 (compared in Python floats).  A swap on lane ``l`` leaves
+        every superblock's max and min over its other lanes unchanged, so
+        one ``(count, count)`` matrix per lane pass holds the extra latency
+        of superblock ``s`` with ``t``'s lane-``l`` member; a taken swap
+        exchanges two of its columns.
+        """
         count = len(superblocks)
+        if count < 2 or self.refine_passes == 0:
+            return superblocks
         lane_count = len(lanes)
         members = [[sb.members[l] for sb in superblocks] for l in range(lane_count)]
-        stacks = [
-            [m.lwl_latencies() for m in members[l]] for l in range(lane_count)
-        ]
-        extras = [
-            _extra_of(np.stack([stacks[l][s] for l in range(lane_count)]))
-            for s in range(count)
-        ]
+        rows = np.stack(
+            [[m.lwl_latencies() for m in lane_members] for lane_members in members]
+        )  # (lanes, count, L)
+        extras = [_extra_of(rows[:, s]) for s in range(count)]
+        high = np.empty((count, count, rows.shape[2]))
+        low = np.empty(high.shape)
 
         for _ in range(self.refine_passes):
             improved = False
             for lane in range(lane_count):
+                others = np.delete(rows, lane, axis=0)
+                own = rows[lane][None, :, :]
+                np.maximum(others.max(axis=0)[:, None, :], own, out=high)
+                np.minimum(others.min(axis=0)[:, None, :], own, out=low)
+                np.subtract(high, low, out=high)
+                with_member = high.sum(axis=-1).tolist()
+                # two superblocks rescored per candidate swap
+                self.combinations_checked += count * (count - 1)
                 for a in range(count):
                     for b in range(a + 1, count):
-                        rows_a = [stacks[l][a] for l in range(lane_count)]
-                        rows_b = [stacks[l][b] for l in range(lane_count)]
-                        swapped_a = list(rows_a)
-                        swapped_b = list(rows_b)
-                        swapped_a[lane], swapped_b[lane] = rows_b[lane], rows_a[lane]
-                        new_a = _extra_of(np.stack(swapped_a))
-                        new_b = _extra_of(np.stack(swapped_b))
-                        self.combinations_checked += 2
+                        new_a = with_member[a][b]
+                        new_b = with_member[b][a]
                         if new_a + new_b + 1e-9 < extras[a] + extras[b]:
                             members[lane][a], members[lane][b] = (
                                 members[lane][b],
                                 members[lane][a],
                             )
-                            stacks[lane][a], stacks[lane][b] = (
-                                stacks[lane][b],
-                                stacks[lane][a],
-                            )
+                            rows[lane, [a, b]] = rows[lane, [b, a]]
+                            for row in with_member:
+                                row[a], row[b] = row[b], row[a]
                             extras[a], extras[b] = new_a, new_b
                             improved = True
             if not improved:

@@ -1,8 +1,10 @@
 """Directions 5-8: rank/eigen signature window search.
 
-All four share the frame of :class:`WindowedAssembler` and Equation 1's
-distance (positions where two blocks' signatures disagree, summed over every
-lane pair of a candidate combination); they differ only in the signature.
+All four share the greedy frame of :class:`ScoredWindowAssembler` and
+Equation 1's distance (positions where two blocks' signatures disagree,
+summed over every lane pair of a candidate combination); they differ only in
+the signature kernel.  A window's signatures and lane-pair distance matrices
+are computed once; the greedy rounds then read them for the unpicked blocks.
 """
 
 from __future__ import annotations
@@ -12,46 +14,51 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.assembly.base import (
-    WindowedAssembler,
-    min_total_distance_combo,
+    ScoredWindowAssembler,
     pairwise_signature_distances,
+    summed_distances,
 )
 from repro.assembly.signatures import (
-    SignatureCache,
-    lwl_rank_signature,
-    pwl_rank_signature,
-    str_median_signature,
-    str_rank_signature,
+    lwl_ranks,
+    pwl_ranks,
+    str_median_bits,
+    str_ranks,
 )
 from repro.characterization.datasets import BlockMeasurement
+from repro.perf.profiler import perf_scope
 
 
-class RankWindowAssembler(WindowedAssembler):
-    """Window search minimizing summed pairwise signature distance."""
+class RankWindowAssembler(ScoredWindowAssembler):
+    """Window search minimizing summed pairwise signature distance.
 
-    def __init__(
-        self,
-        window: int,
-        builder: Callable[[BlockMeasurement], np.ndarray],
-    ) -> None:
+    ``kernel`` maps ``(k, layers, strings)`` latencies to ``k`` signatures
+    of the same shape (one of the :mod:`repro.assembly.signatures` kernels).
+    """
+
+    def __init__(self, window: int, kernel: Callable[[np.ndarray], np.ndarray]) -> None:
         super().__init__(window)
-        self._signatures = SignatureCache(builder)
+        self._kernel = kernel
 
-    def choose(self, windows: Sequence[Sequence[BlockMeasurement]]) -> Tuple[int, ...]:
-        lanes = len(windows)
-        if lanes < 2:
-            raise ValueError("rank assembly needs at least two lanes")
-        stacks = [self._signatures.stack(window) for window in windows]
-        matrices: Dict[Tuple[int, int], np.ndarray] = {}
-        for i in range(lanes):
-            for j in range(i + 1, lanes):
-                matrices[(i, j)] = pairwise_signature_distances(stacks[i], stacks[j])
-                self.pair_checks += stacks[i].shape[0] * stacks[j].shape[0]
-        picks, _, combos = min_total_distance_combo(
-            matrices, [stack.shape[0] for stack in stacks]
+    def score_window(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
+        sizes = [len(window) for window in windows]
+        latencies = np.stack([m.wl_latencies_us for window in windows for m in window])
+        with perf_scope("assembly.signatures"):
+            signatures = self._kernel(latencies).reshape(len(latencies), -1)
+        stacks = np.split(signatures, np.cumsum(sizes)[:-1])
+        matrices: Dict[Tuple[int, int], np.ndarray] = {
+            (i, j): pairwise_signature_distances(stacks[i], stacks[j])
+            for i in range(len(stacks))
+            for j in range(i + 1, len(stacks))
+        }
+        return summed_distances(matrices, sizes)
+
+    def count_round(self, sizes: Sequence[int]) -> None:
+        super().count_round(sizes)
+        self.pair_checks += sum(
+            sizes[i] * sizes[j]
+            for i in range(len(sizes))
+            for j in range(i + 1, len(sizes))
         )
-        self.combinations_checked += combos
-        return picks
 
 
 class LwlRankAssembler(RankWindowAssembler):
@@ -60,7 +67,7 @@ class LwlRankAssembler(RankWindowAssembler):
     name = "lwl_rank"
 
     def __init__(self, window: int = 8) -> None:
-        super().__init__(window, lwl_rank_signature)
+        super().__init__(window, lwl_ranks)
         self.name = f"lwl_rank({window})"
 
 
@@ -70,7 +77,7 @@ class PwlRankAssembler(RankWindowAssembler):
     name = "pwl_rank"
 
     def __init__(self, window: int = 8) -> None:
-        super().__init__(window, pwl_rank_signature)
+        super().__init__(window, pwl_ranks)
         self.name = f"pwl_rank({window})"
 
 
@@ -80,7 +87,7 @@ class StrRankAssembler(RankWindowAssembler):
     name = "str_rank"
 
     def __init__(self, window: int = 8) -> None:
-        super().__init__(window, str_rank_signature)
+        super().__init__(window, str_ranks)
         self.name = f"str_rank({window})"
 
 
@@ -94,5 +101,5 @@ class StrMedianAssembler(RankWindowAssembler):
     name = "str_med"
 
     def __init__(self, window: int = 4) -> None:
-        super().__init__(window, str_median_signature)
+        super().__init__(window, str_median_bits)
         self.name = f"str_med({window})"

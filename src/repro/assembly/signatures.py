@@ -14,33 +14,66 @@ count of positions where their vectors disagree (Equation 1):
   (first-come), exactly as the paper's gathering process specifies.
 
 Signatures are plain ``uint16`` numpy arrays of length ``layers*strings`` so
-one ``!=``-and-sum computes Equation 1.  The STR-median bits come from
-:func:`str_median_bits`, the kernel `repro.core.eigen` also packs into a
-:class:`BitVector` for the QSTR-MED XOR path.
+one ``!=``-and-sum computes Equation 1.  Each direction has one kernel over
+``(..., layers, strings)`` latency arrays — :func:`lwl_ranks`,
+:func:`pwl_ranks`, :func:`str_ranks`, :func:`str_median_bits` — that the
+per-block ``*_signature`` builders, the window search
+(:mod:`repro.assembly.rank`, one call per window) and the batch twins in
+:mod:`repro.kernels.signatures` all call.  `repro.core.eigen` also packs the
+STR-median bits into a :class:`BitVector` for the QSTR-MED XOR path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.characterization.datasets import BlockMeasurement
-from repro.perf.profiler import perf_scope
 
 
-def _stable_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank positions ascending by value; ties keep original order."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.uint16)
-    ranks[order] = np.arange(len(values), dtype=np.uint16)
+def _stable_ranks(values: np.ndarray, axis: int) -> np.ndarray:
+    """Ranks along ``axis`` ascending by value; ties keep original order."""
+    order = np.argsort(values, axis=axis, kind="stable")
+    positions = [1] * order.ndim
+    positions[axis] = order.shape[axis]
+    ranks = np.empty(order.shape, dtype=np.uint16)
+    np.put_along_axis(
+        ranks,
+        order,
+        np.arange(order.shape[axis], dtype=np.uint16).reshape(positions),
+        axis=axis,
+    )
     return ranks
+
+
+def lwl_ranks(latencies: np.ndarray) -> np.ndarray:
+    """Ranks of all logical word-lines of a block by latency (direction 5).
+
+    ``latencies`` has shape ``(..., layers, strings)``: one block's matrix
+    or a stack of them.  Each block's ``layers*strings`` LWLs, in
+    programming order, are ranked together; returns ``uint16`` ranks of
+    the input's shape.
+    """
+    values = np.asarray(latencies, dtype=float)
+    *lead, layers, strings = values.shape
+    flat = values.reshape(*lead, layers * strings)
+    return _stable_ranks(flat, axis=-1).reshape(values.shape)
+
+
+def pwl_ranks(latencies: np.ndarray) -> np.ndarray:
+    """Per-string ranks of the layers (direction 6), shape ``(..., layers, strings)``."""
+    return _stable_ranks(np.asarray(latencies, dtype=float), axis=-2)
+
+
+def str_ranks(latencies: np.ndarray) -> np.ndarray:
+    """Per-layer ranks of the strings (direction 7), shape ``(..., layers, strings)``."""
+    return _stable_ranks(np.asarray(latencies, dtype=float), axis=-1)
 
 
 def lwl_rank_signature(measurement: BlockMeasurement) -> np.ndarray:
     """Ranks of all logical word-lines by program latency (direction 5)."""
-    flat = measurement.lwl_latencies()
-    return _stable_ranks(flat)
+    return lwl_ranks(measurement.wl_latencies_us).reshape(-1)
 
 
 def pwl_rank_signature(measurement: BlockMeasurement) -> np.ndarray:
@@ -49,26 +82,12 @@ def pwl_rank_signature(measurement: BlockMeasurement) -> np.ndarray:
     Entry order matches programming order (layer-major, string minor) so the
     vector aligns position-wise with the other signatures.
     """
-    matrix = measurement.wl_latencies_us  # (layers, strings)
-    layers, strings = matrix.shape
-    order = np.argsort(matrix, axis=0, kind="stable")
-    signature = np.empty((layers, strings), dtype=np.uint16)
-    np.put_along_axis(
-        signature, order, np.arange(layers, dtype=np.uint16)[:, None], axis=0
-    )
-    return signature.reshape(-1)
+    return pwl_ranks(measurement.wl_latencies_us).reshape(-1)
 
 
 def str_rank_signature(measurement: BlockMeasurement) -> np.ndarray:
     """Per-layer ranks of the strings (direction 7): values 0..strings-1."""
-    matrix = measurement.wl_latencies_us
-    layers, strings = matrix.shape
-    order = np.argsort(matrix, axis=1, kind="stable")
-    signature = np.empty((layers, strings), dtype=np.uint16)
-    np.put_along_axis(
-        signature, order, np.arange(strings, dtype=np.uint16)[None, :], axis=1
-    )
-    return signature.reshape(-1)
+    return str_ranks(measurement.wl_latencies_us).reshape(-1)
 
 
 def str_median_bits(
@@ -82,9 +101,9 @@ def str_median_bits(
     0 and the rest bit 1; ties go to the lower string index, the paper's
     first-come rule.  Returns ``uint16`` bits of the input's shape.
 
-    This is the one STR-median kernel: the direction-8 signature, the
-    QSTR-MED eigen sequence (:mod:`repro.core.eigen`) and the batch twin
-    (:mod:`repro.kernels.signatures`) all call it.
+    This is the one STR-median kernel: the direction-8 signature and window
+    search, the QSTR-MED eigen sequence (:mod:`repro.core.eigen`) and the
+    batch twin (:mod:`repro.kernels.signatures`) all call it.
     """
     values = np.asarray(latencies, dtype=float)
     strings = values.shape[-1]
@@ -121,27 +140,3 @@ def signature_distance(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise ValueError(f"signature shapes disagree: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
-
-
-class SignatureCache:
-    """Memoizes signatures per measurement (keyed by identity)."""
-
-    def __init__(self, builder: Callable[[BlockMeasurement], np.ndarray]) -> None:
-        self._builder = builder
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def get(self, measurement: BlockMeasurement) -> np.ndarray:
-        key = id(measurement)
-        cached = self._cache.get(key)
-        if cached is None:
-            # Only the miss path is profiled: the kernels themselves stay
-            # pure (they are baselined VEC001 / vector-worklist entries).
-            with perf_scope("assembly.signatures"):
-                cached = self._builder(measurement)
-            cached.setflags(write=False)
-            self._cache[key] = cached
-        return cached
-
-    def stack(self, measurements: Iterable[BlockMeasurement]) -> np.ndarray:
-        """Signatures of several measurements stacked as ``(k, L)``."""
-        return np.stack([self.get(m) for m in measurements])

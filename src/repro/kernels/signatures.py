@@ -2,14 +2,15 @@
 
 Each function takes a *stack* of per-block latency matrices, shape
 ``(k, layers, strings)``, and returns all ``k`` signatures at once.  The
-scalar references in :mod:`repro.assembly.signatures` operate on one
+per-block builders in :mod:`repro.assembly.signatures` operate on one
 :class:`~repro.characterization.datasets.BlockMeasurement`; these operate on
 ``measurement.wl_latencies_us`` arrays stacked along a new leading axis.
 
-Equivalence contract (DESIGN.md §13): ranks are pure integer permutations
-derived from ``np.argsort(kind="stable")`` — the identical primitive the
-scalar kernels use — so batch row ``i`` equals the scalar signature of block
-``i`` exactly, including tie-breaks (first-come, lower index wins).
+Equivalence contract (DESIGN.md §13): both call the same
+``(..., layers, strings)`` kernels of :mod:`repro.assembly.signatures`
+(stable-argsort ranks, the STR-median bits), so batch row ``i`` equals the
+signature of block ``i`` exactly, including tie-breaks (first-come, lower
+index wins).
 
 The eigen path packs the STR-median bits with
 ``np.packbits(bitorder="little")`` so bit ``j`` of the packed bytes is LWL
@@ -24,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from repro.assembly.signatures import str_median_bits
+from repro.assembly.signatures import lwl_ranks, pwl_ranks, str_median_bits, str_ranks
 from repro.utils.bitvec import BitVector
 
 
@@ -41,37 +42,21 @@ def batch_lwl_rank(stacks: np.ndarray) -> np.ndarray:
     """All-LWL latency ranks per block (direction 5), shape ``(k, L)``."""
     arr = _as_stack(stacks)
     k, layers, strings = arr.shape
-    flat = arr.reshape(k, layers * strings)
-    order = np.argsort(flat, axis=1, kind="stable")
-    ranks = np.empty((k, layers * strings), dtype=np.uint16)
-    np.put_along_axis(
-        ranks, order, np.arange(layers * strings, dtype=np.uint16)[None, :], axis=1
-    )
-    return ranks
+    return lwl_ranks(arr).reshape(k, layers * strings)
 
 
 def batch_pwl_rank(stacks: np.ndarray) -> np.ndarray:
     """Per-string layer ranks per block (direction 6), shape ``(k, L)``."""
     arr = _as_stack(stacks)
     k, layers, strings = arr.shape
-    order = np.argsort(arr, axis=1, kind="stable")
-    ranks = np.empty((k, layers, strings), dtype=np.uint16)
-    np.put_along_axis(
-        ranks, order, np.arange(layers, dtype=np.uint16)[None, :, None], axis=1
-    )
-    return ranks.reshape(k, layers * strings)
+    return pwl_ranks(arr).reshape(k, layers * strings)
 
 
 def batch_str_rank(stacks: np.ndarray) -> np.ndarray:
     """Per-layer string ranks per block (direction 7), shape ``(k, L)``."""
     arr = _as_stack(stacks)
     k, layers, strings = arr.shape
-    order = np.argsort(arr, axis=2, kind="stable")
-    ranks = np.empty((k, layers, strings), dtype=np.uint16)
-    np.put_along_axis(
-        ranks, order, np.arange(strings, dtype=np.uint16)[None, None, :], axis=2
-    )
-    return ranks.reshape(k, layers * strings)
+    return str_ranks(arr).reshape(k, layers * strings)
 
 
 def batch_str_median(stacks: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.assembly.signatures import (
-    SignatureCache,
     lwl_rank_signature,
+    lwl_ranks,
     pwl_rank_signature,
+    pwl_ranks,
     signature_distance,
     str_median_signature,
     str_rank_signature,
+    str_ranks,
 )
 from repro.characterization.datasets import BlockMeasurement
 
@@ -96,24 +98,61 @@ class TestDistance:
         assert signature_distance(a, b) == len(positions)
 
 
-class TestSignatureCache:
-    def test_memoizes(self):
-        calls = []
+def _plain_ranks(values):
+    """Stable ranks by the definition: sort positions by (value, position)."""
+    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    ranks = [0] * len(values)
+    for rank, position in enumerate(order):
+        ranks[position] = rank
+    return ranks
 
-        def builder(m):
-            calls.append(m)
-            return np.zeros(4, dtype=np.uint16)
 
-        cache = SignatureCache(builder)
-        m = measurement(np.ones((1, 4)))
-        first = cache.get(m)
-        second = cache.get(m)
-        assert first is second
-        assert len(calls) == 1
-        assert not first.flags.writeable
+KERNELS = [
+    (lwl_ranks, lwl_rank_signature),
+    (pwl_ranks, pwl_rank_signature),
+    (str_ranks, str_rank_signature),
+]
+KERNEL_SEEDS = range(30)
 
-    def test_stack(self):
-        cache = SignatureCache(str_rank_signature)
-        ms = [measurement(np.random.default_rng(i).random((2, 4))) for i in range(3)]
-        stack = cache.stack(ms)
-        assert stack.shape == (3, 8)
+
+class TestRankKernelsOverStacks:
+    """The ``(..., layers, strings)`` kernels against per-block calls."""
+
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        lead = tuple(int(n) for n in rng.integers(0, 4, size=int(rng.integers(0, 3))))
+        shape = lead + (int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+        values = rng.uniform(1000.0, 1100.0, shape)
+        if seed % 2:
+            values = np.round(values, -1)  # coarse grid: many exact ties
+        return values
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    @pytest.mark.parametrize("kernel, builder", KERNELS, ids=lambda f: f.__name__)
+    def test_stack_equals_per_block_calls(self, kernel, builder, seed):
+        values = self._stack(seed)
+        ranks = kernel(values)
+        assert ranks.shape == values.shape and ranks.dtype == np.uint16, f"seed={seed}"
+        for index in np.ndindex(*values.shape[:-2]):
+            block = builder(measurement(values[index]))
+            assert np.array_equal(ranks[index].reshape(-1), block), (
+                f"{kernel.__name__}: block {index} differs (seed={seed})"
+            )
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_ranks_match_the_definition(self, seed):
+        values = self._stack(seed)
+        for block in values.reshape(-1, *values.shape[-2:]):
+            layers, strings = block.shape
+            assert list(lwl_ranks(block).reshape(-1)) == _plain_ranks(
+                list(block.reshape(-1))
+            ), f"lwl seed={seed}"
+            for s in range(strings):
+                assert list(pwl_ranks(block)[:, s]) == _plain_ranks(
+                    list(block[:, s])
+                ), f"pwl seed={seed}"
+            for layer in range(layers):
+                assert list(str_ranks(block)[layer]) == _plain_ranks(
+                    list(block[layer])
+                ), f"str seed={seed}"
