@@ -63,7 +63,7 @@ from repro.core import (
     str_med_pair_checks,
 )
 from repro.assembly import LanePool
-from repro.exp import DEFAULT_CACHE_DIR, SimConfig, build_stack
+from repro.exp import ALLOCATOR_KINDS, DEFAULT_CACHE_DIR, SimConfig, build_stack
 from repro.ftl import OutOfSpaceError
 from repro.nand import PAPER_GEOMETRY, FlashChip
 from repro.utils.units import TIB, format_bytes
@@ -196,12 +196,11 @@ def _device_config(
 
 
 def _apply_fault_args(config: SimConfig, args: argparse.Namespace) -> SimConfig:
-    """Fold the optional ``--faults``/``--repair`` flags into ``config``.
+    """Fold the optional ``--faults`` and ``--policy`` flags into ``config``.
 
     Both default to "absent", in which case the config is returned
     untouched — the fault-free path must build the exact historical
-    stack, byte for byte.  ``--repair`` is a deprecated alias for
-    ``--policy repair=repair.<NAME>`` kept so existing invocations work.
+    stack, byte for byte.
     """
     spec = getattr(args, "faults", None)
     if spec:
@@ -212,17 +211,6 @@ def _apply_fault_args(config: SimConfig, args: argparse.Namespace) -> SimConfig:
         except (ValueError, OSError) as error:
             print(f"repro: bad --faults {spec!r}: {error}", file=sys.stderr)
             raise SystemExit(2) from error
-    repair = getattr(args, "repair", None)
-    if repair is not None:
-        from repro.exp.build import derived_ftl_config
-
-        if config.ftl is None:
-            config = config.with_(ftl=derived_ftl_config(config.geometry))
-        config = config.with_path("ftl.repair_policy", repair)
-        print(
-            f"repro: --repair is deprecated; use --policy repair=repair.{repair}",
-            file=sys.stderr,
-        )
     return _apply_policy_args(config, args)
 
 
@@ -484,11 +472,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         for name, values in _parse_axes(args.over):
             sweep = sweep.over(name, values)
+        # expanding the grid builds (and so validates) every cell config
+        cells = sweep.cells()
     except ValueError as error:
         print(f"repro sweep: {error}", file=sys.stderr)
         return 2
-
-    cells = sweep.cells()
     if args.dry_run:
         print(f"task: {sweep.task}")
         print(f"base config: {base.content_hash()}")
@@ -834,7 +822,6 @@ def _changed_files(root: "Path") -> Optional[set]:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import json as json_module
     from pathlib import Path
 
     from repro.lint import lint_paths, render_json, render_text
@@ -854,24 +841,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print("repro lint: no lintable paths found in cwd", file=sys.stderr)
             return 2
     root = Path.cwd()
-    path_objects = [Path(p) for p in paths]
-
-    if args.vector_report is not None:
-        from repro.lint.project import Project
-        from repro.lint.vector import vector_report
-
-        report = vector_report(Project.from_paths(path_objects, root=root))
-        text = json_module.dumps(report, indent=2)
-        if args.vector_report == "-":
-            print(text)
-        else:
-            Path(args.vector_report).write_text(text + "\n", encoding="utf-8")
-            print(
-                f"repro lint: wrote vector work-list "
-                f"({report['function_count']} functions) to {args.vector_report}"
-            )
-        return 0
-
     deep = args.deep or args.write_baseline
     findings = lint_paths(paths)
     grandfathered_count = 0
@@ -879,7 +848,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         from repro.lint.baseline import DEFAULT_BASELINE, Baseline
         from repro.lint.deep import run_deep
 
-        deep_findings = run_deep(path_objects, root=root)
+        deep_findings = run_deep([Path(p) for p in paths], root=root)
         baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
         if args.write_baseline:
             Baseline.from_findings(deep_findings).save(baseline_path)
@@ -902,15 +871,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(render_json(findings))
-    elif args.format == "sarif":
-        from repro.lint import all_rules, render_sarif
-        from repro.lint.deep import all_deep_rules
-
-        descriptors = [
-            {"code": rule.code, "name": rule.name, "description": rule.description}
-            for rule in list(all_rules()) + (list(all_deep_rules()) if deep else [])
-        ]
-        print(render_sarif(findings, rules=descriptors))
     else:
         print(render_text(findings))
         if deep and grandfathered_count:
@@ -942,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--trace", help="trace CSV (default: synthetic fill+zipf)")
     replay.add_argument(
         "--allocator",
-        choices=["qstr", "random", "sequential", "pgm_sorted"],
+        choices=ALLOCATOR_KINDS,
         default="qstr",
     )
     replay.add_argument("--interarrival-us", type=float, default=8000.0)
@@ -964,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--allocator",
-        choices=["qstr", "random", "sequential", "pgm_sorted"],
+        choices=ALLOCATOR_KINDS,
         default="qstr",
     )
     run.add_argument("--interarrival-us", type=float, default=8000.0)
@@ -975,12 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         metavar="SPEC",
         help="inject faults: 'program=P,erase=P' rates or '@plan.json'",
-    )
-    run.add_argument(
-        "--repair",
-        choices=["qstr", "random"],
-        default=None,
-        help="deprecated alias for --policy repair=repair.NAME",
     )
     _add_backend_arg(run)
     _add_policy_arg(run)
@@ -1015,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=2024, help="base root seed")
     sweep.add_argument(
         "--allocator",
-        choices=["qstr", "random", "sequential", "pgm_sorted"],
+        choices=ALLOCATOR_KINDS,
         default="qstr",
         help="device-preset allocator",
     )
@@ -1044,12 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a fleet layer to the base config (for --task fleet): "
         "'key=value,...' over FleetConfig fields or '@fleet.json'; bare "
         "--fleet uses the defaults",
-    )
-    sweep.add_argument(
-        "--repair",
-        choices=["qstr", "random"],
-        default=None,
-        help="deprecated alias for --policy repair=repair.NAME",
     )
     _add_backend_arg(sweep)
     _add_policy_arg(sweep)
@@ -1181,8 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--hotspots",
         action="store_true",
-        help="cProfile deep mode: hottest functions cross-referenced "
-        "against tools/vector_worklist.json",
+        help="cProfile deep mode: the hottest functions of one replay",
     )
     bench.add_argument(
         "--top", type=int, default=15, help="row count for --hotspots"
@@ -1212,12 +1159,12 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="files/directories to lint (default: src benchmarks examples tools)",
     )
-    lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
+    lint.add_argument("--format", choices=["text", "json"], default="text")
     lint.add_argument(
         "--deep",
         action="store_true",
         help="also run the whole-program analyses (call graph + dataflow: "
-        "RNG010-012, DET010-012, PROC001-003, VEC001)",
+        "RNG010-012, DET010-012, PROC001-003)",
     )
     lint.add_argument(
         "--baseline",
@@ -1234,14 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report findings only for files changed vs git HEAD "
         "(the whole-program graph is still built over all paths)",
-    )
-    lint.add_argument(
-        "--vector-report",
-        nargs="?",
-        const="-",
-        metavar="PATH",
-        help="emit the ranked hot-path vectorization work-list JSON "
-        "(to PATH, or stdout when no PATH is given) and exit",
     )
     lint.set_defaults(func=cmd_lint)
 

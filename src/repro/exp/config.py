@@ -131,6 +131,13 @@ class SimConfig:
             object.__setattr__(
                 self, "policies", PolicyConfig.from_dict(self.policies)
             )
+        if self.allocator != "qstr" and self.policies.assembly is not None:
+            # the baseline allocators do no similarity assembly, so the
+            # policy would change the config hash and nothing else
+            raise ValueError(
+                f"policies.assembly={self.policies.assembly.name!r} needs "
+                f"allocator 'qstr'; allocator {self.allocator!r} ignores it"
+            )
 
     # -- presets -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ same bookkeeping so end-to-end comparisons are apples to apples.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,19 +19,15 @@ from repro.core.assembler import SpeedClass
 from repro.core.placement import DEFAULT_POLICY, PlacementPolicy
 from repro.core.records import BlockRecord
 from repro.core.scheme import QstrMedScheme
-from repro.ftl.repair import DEFAULT_REPAIR_DEPTH, choose_similar, speed_candidates
+from repro.ftl.repair import DEFAULT_REPAIR_DEPTH, speed_candidates
 from repro.nand.geometry import NandGeometry
 from repro.obs.registry import MetricsRegistry
 from repro.policy.base import AssemblyPolicy, RepairContext, RepairPolicy
 from repro.utils.rng import derive_seed
 
-#: ``draft_spare`` accepts either a resolved policy or (deprecated) the
-#: legacy ``"qstr"``/``"random"`` string form of ``FtlConfig.repair_policy``.
-RepairChoice = Union[str, RepairPolicy]
-
 
 def _draft_record(
-    policy: RepairChoice,
+    policy: RepairPolicy,
     lane: int,
     speed_class: SpeedClass,
     survivors: Sequence[BlockRecord],
@@ -39,15 +35,7 @@ def _draft_record(
     candidates: Sequence[BlockRecord],
     rng: "np.random.Generator",
 ) -> BlockRecord:
-    """Shared spare choice over a precomputed pool + candidate slice.
-
-    The legacy string forms replicate the pre-policy inline logic exactly;
-    policy objects get the full :class:`RepairContext`.
-    """
-    if isinstance(policy, str):
-        if policy == "random":
-            return pool[int(rng.integers(len(pool)))]
-        return choose_similar(candidates, survivors)
+    """Shared spare choice over a precomputed pool + candidate slice."""
     return policy.draft(
         RepairContext(
             lane=lane,
@@ -98,14 +86,10 @@ class BlockAllocator(ABC):
         lane: int,
         speed_class: SpeedClass,
         survivors: Sequence[BlockRecord],
-        policy: RepairChoice,
+        policy: RepairPolicy,
         rng: "np.random.Generator",
     ) -> BlockRecord:
-        """Take one free block from ``lane`` to repair a damaged superblock.
-
-        ``policy`` is a resolved :class:`~repro.policy.base.RepairPolicy`
-        (or, deprecated, the legacy ``"random"``/``"qstr"`` string).
-        """
+        """Take one free block from ``lane`` to repair a damaged superblock."""
 
     @abstractmethod
     def purge_plane(self, lane: int, plane: int) -> int:
@@ -191,7 +175,7 @@ class QstrAllocator(BlockAllocator):
         lane: int,
         speed_class: SpeedClass,
         survivors: Sequence[BlockRecord],
-        policy: RepairChoice,
+        policy: RepairPolicy,
         rng: "np.random.Generator",
     ) -> BlockRecord:
         catalog = self.scheme.catalog(lane)
@@ -281,7 +265,7 @@ class SimpleAllocator(BlockAllocator):
         lane: int,
         speed_class: SpeedClass,
         survivors: Sequence[BlockRecord],
-        policy: RepairChoice,
+        policy: RepairPolicy,
         rng: "np.random.Generator",
     ) -> BlockRecord:
         pool = self._free[lane]

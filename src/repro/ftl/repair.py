@@ -14,17 +14,16 @@ super word-line.  Two policies are provided:
   :class:`repro.core.assembler.OnDemandAssembler` uses at assembly time.
 
 The policies themselves now live in ``repro.policy`` (registered as
-``repair.qstr`` / ``repair.random``); ``REPAIR_POLICIES`` and the
-similarity helpers are kept here for backward compatibility — the string
-form of ``FtlConfig.repair_policy`` is deprecated in favor of
-``SimConfig.policies.repair``.
+``repair.qstr`` / ``repair.random``); ``REPAIR_POLICIES`` is kept here for
+backward compatibility — the string form of ``FtlConfig.repair_policy`` is
+deprecated in favor of ``SimConfig.policies.repair``.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.policy.static import choose_similar, speed_candidates
+from repro.policy.static import speed_candidates
 
 #: Legacy string names accepted by ``FtlConfig.repair_policy`` (deprecated;
 #: they map onto the ``repair.<name>`` registered policies).
@@ -37,5 +36,4 @@ __all__ = [
     "REPAIR_POLICIES",
     "DEFAULT_REPAIR_DEPTH",
     "speed_candidates",
-    "choose_similar",
 ]

@@ -10,17 +10,15 @@ into machine-checked invariants:
   simulator's hot paths;
 * **layering** — the ``utils → nand → {characterization, assembly, core} →
   ftl → ssd → {workloads, analysis, cli}`` import DAG never inverts;
-* **numeric hygiene** — no float-literal equality, no mutable default args;
-* **unit discipline** — all latencies stay in microseconds and conversions go
-  through :mod:`repro.utils.units`.
+* **numeric hygiene** — no float-literal equality, no mutable default args.
 
 Run it with ``repro lint`` (or ``python -m repro lint``); add ``--deep`` for
 the whole-program passes (call graph + taint: RNG stream flow, nondeterminism
-taint, process safety, vectorizability — see DESIGN.md §10).  Suppress a
-single finding with ``# reprolint: disable=CODE`` on the flagged line (on a
-``def``/decorator line this covers the whole function body for deep
-findings), or a whole file with ``# reprolint: disable-file=CODE`` — always
-with a comment saying why the exemption is sound.
+taint, process safety — see DESIGN.md §10).  Suppress a single finding with
+``# reprolint: disable=CODE`` on the flagged line (on a ``def``/decorator
+line this covers the whole function body for deep findings), or a whole file
+with ``# reprolint: disable-file=CODE`` — always with a comment saying why
+the exemption is sound.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.project import Project
 from repro.lint.registry import Rule, RuleContext, all_rules, get_rule, register_rule
 from repro.lint.report import render_json, render_text
-from repro.lint.sarif import render_sarif, validate_sarif
-from repro.lint.vector import vector_report
 
 __all__ = [
     "Baseline",
@@ -69,10 +65,7 @@ __all__ = [
     "register_deep_rule",
     "register_rule",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_deep",
     "run_deep_sources",
-    "validate_sarif",
-    "vector_report",
 ]

@@ -92,7 +92,6 @@ def _ensure_rules_loaded() -> None:
     import repro.lint.rules.deep_det  # noqa: F401
     import repro.lint.rules.deep_proc  # noqa: F401
     import repro.lint.rules.deep_rng  # noqa: F401
-    import repro.lint.rules.deep_vec  # noqa: F401
 
 
 def build_context(project: Project) -> DeepContext:

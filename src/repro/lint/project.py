@@ -1,10 +1,10 @@
 """Whole-program model: modules, symbol table, import resolution.
 
 The per-file rules of PR 1 see one AST at a time; the deep analysis passes
-(RNG stream flow, nondeterminism taint, process safety, vectorizability)
-need to see the *program*: which qualified function a call site lands in,
-which module a name was imported from, where module-level mutable state
-lives.  :class:`Project` parses every linted file once and indexes
+(RNG stream flow, nondeterminism taint, process safety) need to see the
+*program*: which qualified function a call site lands in, which module a
+name was imported from, where module-level mutable state lives.
+:class:`Project` parses every linted file once and indexes
 
 * every function and method by qualified name (``repro.ftl.ftl.Ftl.write``),
 * every class with its bases and method table,
@@ -306,12 +306,6 @@ class Project:
             if info.path == path:
                 return info
         return None
-
-    def functions_in(self, module: str) -> List[FunctionInfo]:
-        return sorted(
-            (fn for fn in self.functions.values() if fn.module == module),
-            key=lambda fn: fn.lineno,
-        )
 
     def methods_named(self, name: str) -> List[FunctionInfo]:
         """Every method with the given bare name (dynamic-dispatch fallback)."""

@@ -10,24 +10,20 @@ from repro.lint.rules import (
     deep_det,
     deep_proc,
     deep_rng,
-    deep_vec,
     determinism,
     layering,
     numeric,
     obs,
     rng,
-    units,
 )
 
 __all__ = [
     "deep_det",
     "deep_proc",
     "deep_rng",
-    "deep_vec",
     "determinism",
     "layering",
     "numeric",
     "obs",
     "rng",
-    "units",
 ]

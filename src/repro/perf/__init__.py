@@ -14,8 +14,8 @@ profiler active or not.
   code (sweep cell timing, run summaries);
 * :func:`render_profile` / :func:`layer_shares` — hierarchical reports
   and per-layer wall-time shares;
-* :func:`profile_callable` / :func:`cross_reference` — cProfile deep
-  mode, cross-referenced against ``tools/vector_worklist.json``;
+* :func:`profile_callable` / :func:`render_hotspots` — cProfile deep
+  mode, the hottest functions of one replay;
 * :func:`run_suite` / ``BENCH_*.json`` schema / :func:`compare_docs` —
   the pinned ``repro bench`` suite, its versioned document format, and
   the baseline regression gate CI runs.
@@ -42,14 +42,7 @@ from repro.perf.compare import (
     compare_docs,
     render_comparison,
 )
-from repro.perf.hotspots import (
-    DEFAULT_WORKLIST,
-    HotFunction,
-    cross_reference,
-    load_worklist,
-    profile_callable,
-    render_hotspots,
-)
+from repro.perf.hotspots import HotFunction, profile_callable, render_hotspots
 from repro.perf.profiler import (
     Profiler,
     ProfileNode,
@@ -84,10 +77,7 @@ __all__ = [
     "profile_to_dict",
     "render_profile",
     "HotFunction",
-    "DEFAULT_WORKLIST",
     "profile_callable",
-    "load_worklist",
-    "cross_reference",
     "render_hotspots",
     "SCHEMA_VERSION",
     "validate_bench_doc",

@@ -12,7 +12,7 @@ committed ``BENCH_baseline.json``:
   / ``replay_phase_vector``), yielding ``replay_vector_speedup`` — the
   number the vectorization ROADMAP item gates on;
 * ``signatures``     — raw signature-kernel throughput over measured
-  blocks (the top entries of ``tools/vector_worklist.json``);
+  blocks;
 * ``sweep``          — cold vs warm wall-clock of a tiny cached methods
   sweep (orchestration + cache overhead, not simulation).
 
@@ -302,19 +302,10 @@ def profiled_replay(scale: SuiteScale = QUICK) -> Profiler:
     return profiler
 
 
-def hotspot_rows(
-    scale: SuiteScale = QUICK,
-    top: int = 15,
-    worklist_path: Optional[str] = None,
-) -> List[Any]:
-    """cProfile one testbed replay; top-N rows annotated from the worklist."""
+def hotspot_rows(scale: SuiteScale = QUICK, top: int = 15) -> List[Any]:
+    """cProfile one testbed replay; the top-N rows by cumulative time."""
     from repro.exp.build import build_stack
-    from repro.perf.hotspots import (
-        DEFAULT_WORKLIST,
-        cross_reference,
-        load_worklist,
-        profile_callable,
-    )
+    from repro.perf.hotspots import profile_callable
     from repro.workloads.replay import Replayer
 
     config = _replay_config(scale, scaled=False)
@@ -326,12 +317,7 @@ def hotspot_rows(
         return len(requests)
 
     _, rows = profile_callable(one_replay, top=top)
-    return list(
-        cross_reference(
-            rows,
-            load_worklist(DEFAULT_WORKLIST if worklist_path is None else worklist_path),
-        )
-    )
+    return rows
 
 
 # -- document assembly -------------------------------------------------------

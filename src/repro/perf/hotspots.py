@@ -1,26 +1,17 @@
-"""cProfile deep mode: top-N hot functions, cross-referenced for vectorization.
+"""cProfile deep mode: the top-N hot functions of one callable.
 
 The scoped profiler answers "which layer costs what"; this module answers
 "which exact functions" by running a callable under :mod:`cProfile` and
-ranking by cumulative time.  Each hot row is then cross-referenced against
-``tools/vector_worklist.json`` (the machine-checked vectorization
-inventory from ``repro lint --vector-report``): a hot function that is
-also a pure map/reduce loop in the worklist is a ready numpy rewrite, and
-the rendered table says so — turning a profile into a prioritized slice
-of the ROADMAP's 10× vectorization item.
+ranking by cumulative time.
 """
 
 from __future__ import annotations
 
 import cProfile
-import json
 import pstats
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-#: default location of the committed vectorization inventory.
-DEFAULT_WORKLIST = "tools/vector_worklist.json"
+from typing import Callable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,18 +24,6 @@ class HotFunction:
     calls: int
     total_s: float  # tottime: own time, callees excluded
     cumulative_s: float
-    #: vector-worklist annotation, when the function appears there.
-    vectorizable: bool = False
-    worklist_score: Optional[int] = None
-    worklist_function: Optional[str] = None
-
-    @property
-    def module_guess(self) -> Optional[str]:
-        """Dotted ``repro.*`` module guessed from the source path."""
-        parts = Path(self.file).with_suffix("").parts
-        if "repro" not in parts:
-            return None
-        return ".".join(parts[parts.index("repro"):])
 
 
 def profile_callable(
@@ -80,77 +59,14 @@ def profile_callable(
     return result, rows
 
 
-def load_worklist(path: Union[str, Path] = DEFAULT_WORKLIST) -> List[Dict[str, Any]]:
-    """The worklist's function rows, or ``[]`` when the file is absent."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return []
-    functions = doc.get("functions")
-    return functions if isinstance(functions, list) else []
-
-
-def cross_reference(
-    rows: List[HotFunction],
-    worklist: List[Dict[str, Any]],
-) -> List[HotFunction]:
-    """Annotate hot rows that appear in the vectorization worklist.
-
-    Matching is by (module, function name): the profile's file path is
-    mapped to a dotted module and compared against each worklist entry.
-    """
-    by_key: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    for entry in worklist:
-        module = entry.get("module")
-        name = entry.get("name")
-        if isinstance(module, str) and isinstance(name, str):
-            by_key[(module, name)] = entry
-    annotated: List[HotFunction] = []
-    for row in rows:
-        module = row.module_guess
-        entry = by_key.get((module, row.name)) if module is not None else None
-        if entry is None:
-            annotated.append(row)
-            continue
-        score = entry.get("score")
-        annotated.append(
-            HotFunction(
-                file=row.file,
-                line=row.line,
-                name=row.name,
-                calls=row.calls,
-                total_s=row.total_s,
-                cumulative_s=row.cumulative_s,
-                vectorizable=bool(entry.get("pure")),
-                worklist_score=int(score) if isinstance(score, int) else None,
-                worklist_function=entry.get("function"),
-            )
-        )
-    return annotated
-
-
 def render_hotspots(rows: List[HotFunction]) -> str:
     """The ``repro bench --hotspots`` table."""
-    header = (
-        f"{'function':<44s} {'calls':>10s} {'own':>9s} {'cum':>9s}  vectorizable"
-    )
+    header = f"{'function':<44s} {'calls':>10s} {'own':>9s} {'cum':>9s}"
     lines = [header, "-" * len(header)]
     for row in rows:
         location = f"{Path(row.file).name}:{row.line}:{row.name}"
-        if row.vectorizable:
-            tag = f"yes (worklist score {row.worklist_score})"
-        elif row.worklist_function is not None:
-            tag = "listed (impure)"
-        else:
-            tag = "-"
         lines.append(
             f"{location:<44s} {row.calls:>10,d} "
-            f"{row.total_s:>8.4f}s {row.cumulative_s:>8.4f}s  {tag}"
+            f"{row.total_s:>8.4f}s {row.cumulative_s:>8.4f}s"
         )
-    vector_hits = sum(1 for row in rows if row.vectorizable)
-    lines.append("")
-    lines.append(
-        f"{vector_hits}/{len(rows)} hot functions are pure worklist entries "
-        "(drop-in numpy rewrites; see tools/vector_worklist.json)"
-    )
     return "\n".join(lines)

@@ -9,8 +9,7 @@ in catalog order, because ``BlockCatalog`` preserves insertion order among
 equal-latency records.
 
 The similarity helpers (:func:`speed_candidates`, :func:`choose_similar`)
-moved here from ``repro.ftl.repair`` so both layers share one definition;
-``repro.ftl.repair`` re-exports them for backward compatibility.
+moved here from ``repro.ftl.repair`` so both layers share one definition.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ class TestExitZero:
             ["sweep", "--over", "seed=1,2", "--dry-run"],
             FLEET_SMALL,
             ["lint", "src/repro/utils"],
+            ["lint", "src/repro/utils", "--format", "json"],
         ],
-        ids=["overhead", "sweep-dry-run", "fleet", "lint-clean"],
+        ids=["overhead", "sweep-dry-run", "fleet", "lint-clean", "lint-json"],
     )
     def test_success_exits_zero(self, argv, capsys):
         assert main(argv) == 0
@@ -73,6 +74,29 @@ class TestExitTwo:
                 "bad --policy",
             ),
             (["lint", "no/such/dir"], "no such path"),
+            (
+                ["run", "--allocator", "random",
+                 "--policy", "assembly=assembly.predictor"],
+                "needs allocator 'qstr'",
+            ),
+            (
+                ["sweep", "--preset", "device", "--over", "allocator=greedy",
+                 "--dry-run"],
+                "allocator must be one of",
+            ),
+            (
+                ["sweep", "--preset", "device",
+                 "--policy", "assembly=assembly.predictor",
+                 "--over", "allocator=qstr,random", "--dry-run"],
+                "needs allocator 'qstr'",
+            ),
+            (["run", "--repair", "random"], "unrecognized arguments"),
+            (
+                ["sweep", "--repair", "random", "--dry-run"],
+                "unrecognized arguments",
+            ),
+            (["lint", "--format", "sarif"], "invalid choice"),
+            (["lint", "--vector-report"], "unrecognized arguments"),
         ],
         ids=[
             "sweep-bad-over",
@@ -82,6 +106,13 @@ class TestExitTwo:
             "fleet-missing-fault-plan",
             "fleet-unknown-policy",
             "lint-missing-path",
+            "run-assembly-policy-on-baseline-allocator",
+            "sweep-bad-axis-value",
+            "sweep-assembly-policy-on-baseline-allocator",
+            "run-retired-repair-alias",
+            "sweep-retired-repair-alias",
+            "lint-retired-sarif-format",
+            "lint-retired-vector-report",
         ],
     )
     def test_usage_errors_exit_two(self, argv, needle, capsys):

@@ -32,6 +32,53 @@ class TestValidation:
         with pytest.raises(ValueError):
             WorkloadConfig(kind="trace")  # no trace_path
 
+    def test_assembly_policy_needs_the_qstr_allocator(self):
+        # baseline allocators ignore the assembly policy, so the pair would
+        # fork the config hash without changing the run
+        with pytest.raises(ValueError, match="needs allocator 'qstr'"):
+            SimConfig.device(allocator="random").with_path(
+                "policies.assembly", "assembly.predictor"
+            )
+        SimConfig.device(allocator="random")
+        SimConfig.device(allocator="random").with_path(
+            "policies.assembly", "assembly.qstr"  # the default: normalized away
+        )
+        SimConfig.device().with_path("policies.assembly", "assembly.predictor")
+
+    @pytest.mark.parametrize(
+        "allocator", [kind for kind in ALLOCATOR_KINDS if kind != "qstr"]
+    )
+    def test_every_baseline_allocator_rejects_an_assembly_policy(self, allocator):
+        with pytest.raises(ValueError, match=f"allocator {allocator!r} ignores it"):
+            SimConfig.device(allocator=allocator).with_path(
+                "policies.assembly", "assembly.predictor"
+            )
+
+    def test_explicit_default_assembly_policy_keeps_the_baseline_hash(self):
+        plain = SimConfig.device(allocator="random")
+        explicit = plain.with_path("policies.assembly", "assembly.qstr")
+        assert explicit.policies.assembly is None
+        assert explicit == plain
+        assert explicit.content_hash() == plain.content_hash()
+
+    def test_swapping_to_a_baseline_allocator_revalidates(self):
+        # the sweep path: an allocator axis over a base that sets the policy
+        steered = SimConfig.device().with_path(
+            "policies.assembly", "assembly.predictor"
+        )
+        with pytest.raises(ValueError, match="needs allocator 'qstr'"):
+            steered.with_(allocator="sequential")
+
+    def test_from_dict_rejects_assembly_policy_under_baseline_allocator(self):
+        doc = (
+            SimConfig.device()
+            .with_path("policies.assembly", "assembly.predictor")
+            .to_dict()
+        )
+        doc["allocator"] = "pgm_sorted"
+        with pytest.raises(ValueError, match="needs allocator 'qstr'"):
+            SimConfig.from_dict(doc)
+
     def test_frozen(self):
         with pytest.raises(Exception):
             SimConfig().seed = 1  # type: ignore[misc]

@@ -1,10 +1,10 @@
 """Scalar-vs-vector differential tests: every batch kernel twin is exact.
 
 The vector backend's contract (DESIGN.md §13) is *bit*-identity, not
-approximate agreement: for every function in ``tools/vector_worklist.json``
-that gained a batch twin in :mod:`repro.kernels`, batch row ``i`` must equal
-the scalar result for element ``i`` — same dtype-level values, same
-tie-breaks, same IEEE-754 rounding.  All comparisons here are exact
+approximate agreement: for every scalar hot-path function that has a batch
+twin in :mod:`repro.kernels`, batch row ``i`` must equal the scalar result
+for element ``i`` — same dtype-level values, same tie-breaks, same IEEE-754
+rounding.  All comparisons here are exact
 (``array_equal`` / ``==``), never ``allclose``.
 
 Shapes are adversarial on purpose: empty batches, single elements,
@@ -13,9 +13,6 @@ endurance limit (the largest PE-dependent terms the model produces).
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,28 +48,6 @@ from repro.nand.reliability import EccConfig, EccEngine, ReliabilityParams, rber
 from repro.utils.bitvec import BitVector
 from repro.workloads.synthetic import sequential_fill
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: scalar worklist entry -> its batch twin in repro.kernels
-TWINS = {
-    "repro.assembly.signatures.lwl_rank_signature": batch_lwl_rank,
-    "repro.assembly.signatures.pwl_rank_signature": batch_pwl_rank,
-    "repro.assembly.signatures.str_rank_signature": batch_str_rank,
-    "repro.assembly.signatures.str_median_signature": batch_str_median,
-    "repro.assembly.signatures.signature_distance": signature_distance_matrix,
-    "repro.nand.reliability.rber": rber_batch,
-    "repro.nand.reliability.EccEngine.read_page": ecc_read_batch,
-    "repro.nand.variation.ChipVariationProfile.block_program_latencies": (
-        block_latency_stack
-    ),
-    "repro.nand.variation.ChipVariationProfile.block_program_total": (
-        block_program_totals
-    ),
-    "repro.nand.variation.ChipVariationProfile.erase_latency": (
-        batch_erase_latencies
-    ),
-}
-
 SEEDS = (7, 99, 2024)
 
 
@@ -97,19 +72,6 @@ def _measurements(profile, blocks, pe=0):
 
 def _stack(measurements):
     return np.stack([m.wl_latencies_us for m in measurements])
-
-
-def test_every_worklist_twin_is_exercised_here():
-    """The committed worklist names each scalar function TWINS covers."""
-    doc = json.loads(
-        (REPO_ROOT / "tools" / "vector_worklist.json").read_text(encoding="utf-8")
-    )
-    listed = {entry["function"] for entry in doc["functions"]}
-    missing = {
-        name for name in TWINS if name.rsplit(".", 1)[0] not in
-        {fn.rsplit(".", 1)[0] for fn in listed} and name not in listed
-    }
-    assert not missing, f"TWINS entries absent from the worklist: {missing}"
 
 
 # -- signature kernels -------------------------------------------------------

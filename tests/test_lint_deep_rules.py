@@ -1,8 +1,8 @@
 """Positive/negative fixtures for every deep (whole-program) rule code.
 
-Each of RNG010-012, DET010-012, PROC001-003 and VEC001 has at least one
-fixture that fires and one that stays silent, plus suite-level checks for
-the deep-specific suppression and dedupe semantics.
+Each of RNG010-012, DET010-012 and PROC001-003 has at least one fixture
+that fires and one that stays silent, plus suite-level checks for the
+deep-specific suppression and dedupe semantics.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import textwrap
 from typing import Dict, List
 
 from repro.lint.deep import deep_codes, run_deep_sources
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 
 def run(sources: Dict[str, str]) -> List[Finding]:
@@ -24,7 +24,7 @@ def codes(findings: List[Finding]) -> List[str]:
     return [finding.code for finding in findings]
 
 
-def test_all_ten_deep_codes_are_registered() -> None:
+def test_all_nine_deep_codes_are_registered() -> None:
     assert deep_codes() == [
         "DET010",
         "DET011",
@@ -35,7 +35,6 @@ def test_all_ten_deep_codes_are_registered() -> None:
         "RNG010",
         "RNG011",
         "RNG012",
-        "VEC001",
     ]
 
 
@@ -455,59 +454,6 @@ def test_proc003_silent_outside_worker_cone() -> None:
         }
     )
     assert "PROC003" not in codes(findings)
-
-
-# ---------------------------------------------------------------- VEC001
-
-
-def test_vec001_fires_on_pure_map_loop_in_hot_module() -> None:
-    findings = run(
-        {
-            "repro.nand.variation": """
-            def scale(values, k):
-                out = [0.0] * len(values)
-                for i in range(len(values)):
-                    out[i] = values[i] * k
-                return out
-            """
-        }
-    )
-    vec = [finding for finding in findings if finding.code == "VEC001"]
-    assert len(vec) == 1
-    assert vec[0].severity is Severity.WARNING
-
-
-def test_vec001_silent_for_mixed_loops_impure_or_cold_functions() -> None:
-    findings = run(
-        {
-            "repro.nand.variation": """
-            TOTALS = {}
-
-            def clipped_total(values):
-                acc = 0.0
-                for value in values:
-                    if value < 0:
-                        break
-                    acc += value
-                return acc
-
-            def record_total(values):
-                acc = 0.0
-                for value in values:
-                    acc += value
-                TOTALS["last"] = acc
-                return acc
-            """,
-            "repro.workloads.zipf": """
-            def scale(values, k):
-                out = [0.0] * len(values)
-                for i in range(len(values)):
-                    out[i] = values[i] * k
-                return out
-            """,
-        }
-    )
-    assert "VEC001" not in codes(findings)
 
 
 # ------------------------------------------------- suppression + dedupe

@@ -1,14 +1,11 @@
 """The live repository must be deep-lint clean modulo the committed baseline.
 
 This mirrors the CI ``deep-lint`` job: the whole-program passes must report
-nothing new, the baseline must stay small and justified, the SARIF export
-must validate against the 2.1.0 (subset) schema, and the committed vector
-work-list must match what the tree actually contains.
+nothing new, and the baseline must stay small and justified.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import List
 
@@ -18,12 +15,9 @@ from repro.lint.baseline import (
     Baseline,
     fingerprint,
 )
-from repro.lint.deep import all_deep_rules, run_deep
+from repro.lint.deep import run_deep
 from repro.lint.findings import Finding
-from repro.lint.project import Project
 from repro.lint.report import render_text
-from repro.lint.sarif import render_sarif, validate_sarif
-from repro.lint.vector import vector_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LINTED_DIRS = ["src", "benchmarks", "examples", "tools"]
@@ -61,68 +55,6 @@ def test_baseline_entries_are_not_stale() -> None:
     live = {fingerprint(finding) for finding in _deep_findings()}
     stale = sorted(set(baseline.entries) - live)
     assert not stale, f"baseline entries no longer fired by --deep: {stale}"
-
-
-def test_sarif_export_validates_against_schema() -> None:
-    findings = _deep_findings()
-    descriptors = [
-        {"code": rule.code, "name": rule.name, "description": rule.description}
-        for rule in all_deep_rules()
-    ]
-    document = render_sarif(findings, rules=descriptors)
-    assert validate_sarif(document) == []
-    parsed = json.loads(document)
-    assert parsed["version"] == "2.1.0"
-    rule_ids = {rule["id"] for rule in parsed["runs"][0]["tool"]["driver"]["rules"]}
-    assert {"RNG010", "DET010", "PROC001", "VEC001"} <= rule_ids
-
-
-def test_sarif_validator_rejects_malformed_documents() -> None:
-    assert validate_sarif({"version": "2.1.0"}) != []
-    assert validate_sarif({"version": "9.9", "runs": []}) != []
-    good = json.loads(render_sarif([]))
-    good["runs"][0]["results"] = [{"message": {"text": "no ruleId"}}]
-    assert validate_sarif(good) != []
-
-
-def test_committed_vector_worklist_matches_tree() -> None:
-    committed = (REPO_ROOT / "tools" / "vector_worklist.json").read_text(
-        encoding="utf-8"
-    )
-    project = Project.from_paths(_existing_dirs(), root=REPO_ROOT)
-    generated = json.dumps(vector_report(project), indent=2) + "\n"
-    assert committed == generated, (
-        "tools/vector_worklist.json is stale; regenerate with "
-        "`repro lint --vector-report tools/vector_worklist.json`"
-    )
-
-
-def test_vector_worklist_covers_the_hot_path() -> None:
-    doc = json.loads(
-        (REPO_ROOT / "tools" / "vector_worklist.json").read_text(encoding="utf-8")
-    )
-    functions = doc["functions"]
-    assert len(functions) >= 10
-    for entry in functions:
-        assert isinstance(entry["pure"], bool)
-        for loop in entry["loops"]:
-            assert loop["shape"] in ("map", "reduce", "mixed")
-    # ranked: scores never increase down the list
-    scores = [entry["score"] for entry in functions]
-    assert scores == sorted(scores, reverse=True)
-    # The rank/median signature kernels that used to lead the list were
-    # vectorized in place (their batch twins live in repro.kernels), so no
-    # loop in them is left to lift: they must not be flagged as loopy
-    # vectorization targets anymore.
-    loopy = {
-        entry["function"] for entry in functions if entry["loops"]
-    }
-    for name in (
-        "repro.assembly.signatures.pwl_rank_signature",
-        "repro.assembly.signatures.str_rank_signature",
-        "repro.assembly.signatures.str_median_signature",
-    ):
-        assert name not in loopy, f"{name} regressed to a python loop"
 
 
 def test_deep_pass_runs_fresh_each_time() -> None:

@@ -195,6 +195,17 @@ class TestBenchCli:
         good = self._write(tmp_path / "bench.json", suite_doc)
         assert main(["bench", "--against", good, "--compare", missing]) == 2
 
+    def test_hotspots_prints_the_top_rows(self, capsys):
+        assert main(["bench", "--hotspots", "--top", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["function", "calls", "own", "cum"]
+        rows = lines[2:]
+        assert len(rows) == 3
+        # the profiled replay itself holds the largest cumulative time
+        assert rows[0].split()[0].endswith(":one_replay")
+        cumulative = [float(row.split()[-1].rstrip("s")) for row in rows]
+        assert cumulative == sorted(cumulative, reverse=True)
+
     def test_quick_and_full_flags_exclusive(self):
         with pytest.raises(SystemExit):
             main(["bench", "--quick", "--full"])

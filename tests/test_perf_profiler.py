@@ -13,17 +13,18 @@ from repro.obs import Tracer
 from repro.obs.export import write_jsonl
 from repro.perf import (
     LAYER_ALIASES,
+    HotFunction,
     Profiler,
     Stopwatch,
     activate,
     active_profiler,
-    cross_reference,
     layer_shares,
     perf_count,
     perf_scope,
     profile_callable,
     profile_to_dict,
     profiled,
+    render_hotspots,
     render_profile,
     scope_layer,
 )
@@ -174,17 +175,29 @@ class TestReport:
 
 
 class TestHotspots:
-    def test_profile_callable_cross_referenced(self):
+    def test_profile_callable_ranks_by_cumulative_time(self):
         def workload():
             return sum(i * i for i in range(2000))
 
         result, rows = profile_callable(workload, top=5)
         assert result == sum(i * i for i in range(2000))
-        assert rows
+        assert 0 < len(rows) <= 5
         assert all(row.cumulative_s >= 0.0 for row in rows)
-        annotated = cross_reference(rows, [])
-        assert len(annotated) == len(rows)
-        assert all(not row.vectorizable for row in annotated)
+        cumulative = [row.cumulative_s for row in rows]
+        assert cumulative == sorted(cumulative, reverse=True)
+        table = render_hotspots(rows)
+        assert len(table.splitlines()) == len(rows) + 2
+
+    def test_render_hotspots_prints_calls_own_and_cumulative(self):
+        rows = [
+            HotFunction("/x/src/repro/ftl/ftl.py", 120, "write", 12345, 0.5, 1.25),
+            HotFunction("/x/src/repro/nand/chip.py", 7, "program", 3, 0.0, 0.0625),
+        ]
+        header, rule, first, second = render_hotspots(rows).splitlines()
+        assert header.split() == ["function", "calls", "own", "cum"]
+        assert set(rule) == {"-"} and len(rule) == len(header)
+        assert first.split() == ["ftl.py:120:write", "12,345", "0.5000s", "1.2500s"]
+        assert second.split() == ["chip.py:7:program", "3", "0.0000s", "0.0625s"]
 
 
 class TestDeterminismNeutrality:
