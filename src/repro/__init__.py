@@ -7,9 +7,10 @@ was distilled from, and the full substrate needed to evaluate them — a
 generative 3D-NAND process-variation model, a characterization harness, a
 superblock FTL with GC, an SSD timing layer, and workload generators.
 
-Quickstart::
+Importing this package loads nothing else; the stable import surface is
+:mod:`repro.api`.  Quickstart::
 
-    from repro import (
+    from repro.api import (
         PAPER_GEOMETRY, VariationModel, VariationParams, FlashChip,
         build_lane_pools, RandomAssembler, QstrMedAssembler, evaluate_assembler,
     )
@@ -25,156 +26,4 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.assembly import (
-    METHOD_REGISTRY,
-    ErsLatencyAssembler,
-    LanePool,
-    LwlRankAssembler,
-    MethodResult,
-    OptimalAssembler,
-    PgmLatencyAssembler,
-    PwlRankAssembler,
-    RandomAssembler,
-    SequentialAssembler,
-    StrMedianAssembler,
-    StrRankAssembler,
-    Superblock,
-    build_lane_pools,
-    evaluate_assembler,
-)
-from repro.characterization import (
-    BlockMeasurement,
-    MeasurementSet,
-    ProbePlan,
-    Prober,
-    extra_erase_latency,
-    extra_program_latency,
-    probe_testbed,
-)
-from repro.core import (
-    BlockRecord,
-    FootprintModel,
-    GatheringUnit,
-    OnDemandAssembler,
-    PlacementPolicy,
-    QstrMedAssembler,
-    QstrMedScheme,
-    SpeedClass,
-    WriteIntent,
-    WriteSource,
-    eigen_sequence,
-    overhead_reduction_pct,
-    qstr_med_pair_checks,
-    str_med_pair_checks,
-)
-from repro.ftl import Ftl, FtlConfig
-from repro.nand import (
-    PAPER_GEOMETRY,
-    SMALL_GEOMETRY,
-    FlashChip,
-    NandGeometry,
-    PageType,
-    VariationModel,
-    VariationParams,
-    build_paper_testbed,
-    testbed_chips,
-)
-from repro.obs import (
-    NULL_TRACER,
-    LatencyHistogram,
-    LatencyStat,
-    MetricsRegistry,
-    Tracer,
-    TraceSummary,
-)
-from repro.ssd import Ssd, TimingConfig
-from repro.workloads import (
-    OpKind,
-    Replayer,
-    Request,
-    hot_cold_writes,
-    load_trace,
-    mixed_read_write,
-    save_trace,
-    sequential_fill,
-    uniform_random_writes,
-    zipf_writes,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    # nand
-    "NandGeometry",
-    "PageType",
-    "PAPER_GEOMETRY",
-    "SMALL_GEOMETRY",
-    "FlashChip",
-    "VariationModel",
-    "VariationParams",
-    "build_paper_testbed",
-    "testbed_chips",
-    # characterization
-    "Prober",
-    "ProbePlan",
-    "probe_testbed",
-    "BlockMeasurement",
-    "MeasurementSet",
-    "extra_program_latency",
-    "extra_erase_latency",
-    # assembly
-    "LanePool",
-    "Superblock",
-    "build_lane_pools",
-    "evaluate_assembler",
-    "MethodResult",
-    "METHOD_REGISTRY",
-    "RandomAssembler",
-    "SequentialAssembler",
-    "ErsLatencyAssembler",
-    "PgmLatencyAssembler",
-    "OptimalAssembler",
-    "LwlRankAssembler",
-    "PwlRankAssembler",
-    "StrRankAssembler",
-    "StrMedianAssembler",
-    # core
-    "QstrMedScheme",
-    "QstrMedAssembler",
-    "OnDemandAssembler",
-    "GatheringUnit",
-    "BlockRecord",
-    "SpeedClass",
-    "PlacementPolicy",
-    "WriteIntent",
-    "WriteSource",
-    "eigen_sequence",
-    "FootprintModel",
-    "str_med_pair_checks",
-    "qstr_med_pair_checks",
-    "overhead_reduction_pct",
-    # ftl / ssd
-    "Ftl",
-    "FtlConfig",
-    "Ssd",
-    "TimingConfig",
-    # obs
-    "Tracer",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "LatencyHistogram",
-    "LatencyStat",
-    "TraceSummary",
-    # workloads
-    "Request",
-    "OpKind",
-    "Replayer",
-    "sequential_fill",
-    "uniform_random_writes",
-    "zipf_writes",
-    "mixed_read_write",
-    "hot_cold_writes",
-    "load_trace",
-    "save_trace",
-    "__version__",
-]

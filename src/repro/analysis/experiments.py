@@ -9,13 +9,12 @@ next to the paper's numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.assembly import (
-    Assembler,
     LanePool,
     MethodResult,
     OptimalAssembler,
@@ -26,51 +25,13 @@ from repro.assembly import (
 )
 from repro.characterization.prober import Prober
 from repro.core import QstrMedAssembler
-from repro.exp import MethodEvaluator, MethodRow, SimConfig, build_stack, make_assembler
-from repro.nand import PAPER_GEOMETRY, FlashChip, NandGeometry, VariationParams
+from repro.exp import MethodEvaluator, MethodRow
+from repro.nand import FlashChip
 from repro.utils.stats import Histogram
 
 DEFAULT_SEED = 2024
 DEFAULT_CHIPS = 4
 DEFAULT_POOL_BLOCKS = 400
-
-
-@dataclass(frozen=True)
-class TestbedConfig:
-    """Scale of one experiment run (defaults mirror the paper's setup).
-
-    Thin argparse-era shim kept for backward compatibility; new code should
-    use :class:`repro.exp.SimConfig` directly.
-    """
-
-    geometry: NandGeometry = PAPER_GEOMETRY
-    params: VariationParams = field(default_factory=VariationParams)
-    seed: int = DEFAULT_SEED
-    chips: int = DEFAULT_CHIPS
-    pool_blocks: int = DEFAULT_POOL_BLOCKS
-
-    def to_sim_config(self) -> SimConfig:
-        return SimConfig(
-            seed=self.seed,
-            chips=self.chips,
-            pool_blocks=self.pool_blocks,
-            geometry=self.geometry,
-            variation=self.params,
-        )
-
-
-def build_testbed(config: TestbedConfig = TestbedConfig()) -> List[FlashChip]:
-    """The chips one experiment runs on (via the one construction path)."""
-    return build_stack(config.to_sim_config()).chips
-
-
-def standard_pools(
-    chips: Sequence[FlashChip],
-    pool_blocks: int = DEFAULT_POOL_BLOCKS,
-    target_pe: Optional[int] = None,
-) -> List[LanePool]:
-    """Probe the standard block range on every chip."""
-    return build_lane_pools(chips, range(pool_blocks), target_pe=target_pe)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +49,6 @@ TABLE1_METHODS = (
     "STR-RANK(8)",
     "STR-MED(4)",
 )
-
-
-def _assembler_for(name: str, seed: int = 1) -> Assembler:
-    """Back-compat alias for :func:`repro.exp.make_assembler`."""
-    return make_assembler(name, seed=seed)
 
 
 def run_methods(

@@ -24,7 +24,8 @@ from typing import Dict, Optional, Tuple
 from repro.exp.build import build_stack
 from repro.exp.config import SimConfig
 from repro.faults.plan import FaultPlan
-from repro.ftl.config import REPAIR_POLICIES
+from repro.policy.registry import policy_names
+from repro.policy.spec import PolicySpec
 from repro.workloads.replay import Replayer
 
 
@@ -89,10 +90,16 @@ def default_fault_config(seed: int = 7, requests: int = 1400) -> SimConfig:
     )
 
 
+def _short_names() -> Tuple[str, ...]:
+    """The registered repair policies without their prefix, sorted."""
+    return tuple(PolicySpec(name).short_name for name in policy_names("repair"))
+
+
 def run_repair_policy(config: SimConfig, policy: str) -> RepairPolicyResult:
     """One full faulted replay under ``policy``; read back the fault metrics."""
-    if policy not in REPAIR_POLICIES:
-        raise ValueError(f"policy must be one of {REPAIR_POLICIES}")
+    names = _short_names()
+    if policy not in names:
+        raise ValueError(f"policy must be one of {names}")
     stack = build_stack(config.with_path("policies.repair", f"repair.{policy}"))
     requests = stack.requests()
     Replayer(stack.ssd).replay(requests)
@@ -137,7 +144,7 @@ def compare_repair_policies(config: Optional[SimConfig] = None) -> RepairCompari
     if config is None:
         config = default_fault_config()
     results = tuple(
-        run_repair_policy(config, policy) for policy in sorted(REPAIR_POLICIES)
+        run_repair_policy(config, policy) for policy in _short_names()
     )
     return RepairComparison(config_hash=config.content_hash(), results=results)
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
-from repro.assembly import RandomAssembler, build_lane_pools, evaluate_assembler
+from repro.assembly import RandomAssembler, evaluate_assembler
 from repro.core import QstrMedAssembler
-from repro.nand import FlashChip, NandGeometry, PAPER_GEOMETRY, VariationModel, VariationParams
+from repro.exp import SimConfig, build_stack
+from repro.nand import PAPER_GEOMETRY, NandGeometry, VariationParams
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,14 @@ def evaluate_variant(
     pool_blocks: int = 150,
 ) -> SensitivityPoint:
     """Run the random-vs-QSTR-MED comparison under one model variant."""
-    model = VariationModel(geometry, params, seed=seed)
-    testbed = [FlashChip(model.chip_profile(c), geometry) for c in range(chips)]
-    pools = build_lane_pools(testbed, range(pool_blocks))
+    config = SimConfig.testbed(
+        seed=seed,
+        chips=chips,
+        pool_blocks=pool_blocks,
+        geometry=geometry,
+        variation=params,
+    )
+    pools = build_stack(config).pools()
     baseline = evaluate_assembler(RandomAssembler(seed=1), pools)
     qstr = evaluate_assembler(QstrMedAssembler(4), pools)
     return SensitivityPoint(

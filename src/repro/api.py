@@ -44,8 +44,6 @@ from repro.analysis import (
     RepairComparison,
     RepairPolicyResult,
     SensitivityPoint,
-    TestbedConfig,
-    build_testbed,
     compare_repair_policies,
     cumulative_mean,
     default_fault_config,
@@ -69,7 +67,6 @@ from repro.analysis import (
     run_repair_policy,
     seed_sweep,
     sparkline,
-    standard_pools,
     table1_eight_directions,
     table2_window_sweep,
     table5_extra_latency,
@@ -129,7 +126,6 @@ from repro.exp import (
     WorkloadConfig,
     build_stack,
     default_cache_dir,
-    evaluate_methods,
     make_assembler,
     method_names,
     register_task,
@@ -156,7 +152,6 @@ from repro.fleet import (
     tenant_stream,
 )
 from repro.ftl import Ftl, FtlConfig, WearLevelingConfig, WriteStream
-from repro.ftl.config import REPAIR_POLICIES
 from repro.kernels import (
     BATCH_SIGNATURE_BUILDERS,
     ArrayPageMapper,
@@ -280,7 +275,6 @@ EXPERIMENT_API = (
     "DEFAULT_METHODS",
     "MethodEvaluator",
     "MethodRow",
-    "evaluate_methods",
     "make_assembler",
     "method_names",
 )
@@ -309,7 +303,6 @@ DEVICE_API = (
     "FtlConfig",
     "WearLevelingConfig",
     "WriteStream",
-    "REPAIR_POLICIES",
     "Ssd",
     "TimingConfig",
 )
@@ -428,9 +421,6 @@ ASSEMBLY_API = (
 
 #: analysis drivers and renderers for the paper's tables and figures.
 ANALYSIS_API = (
-    "TestbedConfig",
-    "build_testbed",
-    "standard_pools",
     "run_methods",
     "table1_eight_directions",
     "table2_window_sweep",

@@ -1,10 +1,9 @@
 """Superblock assembly: the eight organization directions of Section IV.
 
-The registry maps the paper's method names to constructors so benches and
-examples can spell out exactly the rows of Tables I/II/V.
+``repro.exp.make_assembler`` maps the paper's method names to these
+classes, so benches and examples can spell out exactly the rows of Tables
+I/II/V.
 """
-
-from typing import Callable, Dict
 
 from repro.assembly.base import (
     Assembler,
@@ -20,7 +19,6 @@ from repro.assembly.base import (
 from repro.assembly.evaluate import (
     MethodResult,
     collect_result,
-    compare_methods,
     evaluate_assembler,
 )
 from repro.assembly.optimal import OptimalAssembler
@@ -47,19 +45,6 @@ from repro.assembly.simple import (
     SequentialAssembler,
 )
 
-#: Constructors for every direction, keyed by the paper's method names.
-METHOD_REGISTRY: Dict[str, Callable[[], Assembler]] = {
-    "RANDOM": lambda: RandomAssembler(),
-    "SEQUENTIAL": lambda: SequentialAssembler(),
-    "ERS-LTN": lambda: ErsLatencyAssembler(),
-    "PGM-LTN": lambda: PgmLatencyAssembler(),
-    "OPTIMAL(8)": lambda: OptimalAssembler(8),
-    "LWL-RANK(8)": lambda: LwlRankAssembler(8),
-    "PWL-RANK(8)": lambda: PwlRankAssembler(8),
-    "STR-RANK(8)": lambda: StrRankAssembler(8),
-    "STR-MED(4)": lambda: StrMedianAssembler(4),
-}
-
 __all__ = [
     "Assembler",
     "ZipAssembler",
@@ -73,7 +58,6 @@ __all__ = [
     "MethodResult",
     "evaluate_assembler",
     "collect_result",
-    "compare_methods",
     "OptimalAssembler",
     "build_lane_pools",
     "RankWindowAssembler",
@@ -91,5 +75,4 @@ __all__ = [
     "SequentialAssembler",
     "ErsLatencyAssembler",
     "PgmLatencyAssembler",
-    "METHOD_REGISTRY",
 ]

@@ -26,8 +26,6 @@ from repro.characterization.datasets import BlockMeasurement
 from repro.characterization.extra_latency import (
     extra_erase_latency,
     extra_program_latency,
-    superblock_erase_completion,
-    superblock_program_completion,
 )
 
 
@@ -51,14 +49,6 @@ class Superblock:
     @property
     def extra_erase_latency_us(self) -> float:
         return extra_erase_latency(self.members)
-
-    @property
-    def program_completion_us(self) -> float:
-        return superblock_program_completion(self.members)
-
-    @property
-    def erase_completion_us(self) -> float:
-        return superblock_erase_completion(self.members)
 
     def member_keys(self) -> List[Tuple[int, int, int]]:
         return [m.key() for m in self.members]

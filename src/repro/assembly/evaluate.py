@@ -9,7 +9,7 @@ and extra erase latency, plus the improvement percentage against a baseline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.assembly.base import Assembler, LanePool, Superblock
 from repro.utils.stats import RunningStats
@@ -75,10 +75,3 @@ def collect_result(
         result.combinations_checked = getattr(assembler, "combinations_checked", 0)
         result.pair_checks = getattr(assembler, "pair_checks", 0)
     return result
-
-
-def compare_methods(
-    assemblers: Sequence[Assembler], pools: Sequence[LanePool]
-) -> Dict[str, MethodResult]:
-    """Evaluate several assemblers on identical pools."""
-    return {a.name: evaluate_assembler(a, pools) for a in assemblers}

@@ -13,9 +13,6 @@ from repro.characterization.datasets import (
 from repro.characterization.extra_latency import (
     extra_erase_latency,
     extra_program_latency,
-    per_wordline_extra_program,
-    superblock_erase_completion,
-    superblock_program_completion,
 )
 from repro.characterization.prober import ProbePlan, Prober, probe_testbed
 from repro.characterization.statistics import (
@@ -32,9 +29,6 @@ __all__ = [
     "MeasurementSet",
     "extra_program_latency",
     "extra_erase_latency",
-    "per_wordline_extra_program",
-    "superblock_program_completion",
-    "superblock_erase_completion",
     "ProbePlan",
     "Prober",
     "probe_testbed",

@@ -43,12 +43,6 @@ def extra_program_latency(members: Sequence[BlockMeasurement]) -> float:
     return float(gaps.sum())
 
 
-def per_wordline_extra_program(members: Sequence[BlockMeasurement]) -> np.ndarray:
-    """Per-super-word-line extra program latency, shape ``(lwls,)``, µs."""
-    stacked = _stack_wl_latencies(members)
-    return stacked.max(axis=0) - stacked.min(axis=0)
-
-
 def extra_erase_latency(members: Sequence[BlockMeasurement]) -> float:
     """Extra erase latency of a superblock, µs (max - min of member tBERS)."""
     if len(members) < 2:
@@ -56,19 +50,3 @@ def extra_erase_latency(members: Sequence[BlockMeasurement]) -> float:
     latencies = [m.erase_latency_us for m in members]
     return max(latencies) - min(latencies)
 
-
-def superblock_program_completion(members: Sequence[BlockMeasurement]) -> float:
-    """Wall-clock to program the whole superblock with MP commands, µs.
-
-    Every super word-line takes the *max* member tPROG; this is the quantity
-    hosts actually observe, of which the extra latency is the avoidable part.
-    """
-    stacked = _stack_wl_latencies(members)
-    return float(stacked.max(axis=0).sum())
-
-
-def superblock_erase_completion(members: Sequence[BlockMeasurement]) -> float:
-    """Wall-clock of the superblock MP erase, µs (max of member tBERS)."""
-    if not members:
-        raise ValueError("empty superblock")
-    return max(m.erase_latency_us for m in members)

@@ -43,7 +43,6 @@ from repro.exp.config import (
 from repro.exp.methods import (
     MethodEvaluator,
     MethodRow,
-    evaluate_methods,
     make_assembler,
     method_names,
 )
@@ -75,7 +74,6 @@ __all__ = [
     # methods
     "MethodEvaluator",
     "MethodRow",
-    "evaluate_methods",
     "make_assembler",
     "method_names",
     # sweep

@@ -1,9 +1,8 @@
 """``build_stack(SimConfig) -> Stack`` — the one construction path.
 
-Historically the repo had two independent stack constructors: the CLI's
-``_build_ssd`` (argparse-coupled) and ``analysis.experiments.build_testbed``
-(assembly-study only).  Both now funnel through :func:`build_stack`, which
-turns a :class:`~repro.exp.config.SimConfig` into a :class:`Stack` exposing
+The CLI, the sweep tasks, the analysis drivers and the tools build their
+chips, pools and devices through :func:`build_stack`, which turns a
+:class:`~repro.exp.config.SimConfig` into a :class:`Stack` exposing
 every level a caller might need — the probed chips, the assembly-study lane
 pools, and the full FTL+SSD device — built lazily so a pools-only cell never
 pays for an SSD format.
@@ -131,11 +130,7 @@ class Stack:
             # the config seed; the static defaults draw nothing, so the
             # historical ftl_seed quirk above cannot leak through them.
             policy_seed = ftl_seed if config.policies.is_default else config.seed
-            policies = resolve_policies(
-                config.policies,
-                seed=policy_seed,
-                legacy_repair=ftl_config.repair_policy,
-            )
+            policies = resolve_policies(config.policies, seed=policy_seed)
             # The vector engine only accelerates stacks it can reproduce
             # bit-for-bit; anything fancier (faults, learned policies,
             # steering, parity) builds the scalar reference classes.  The

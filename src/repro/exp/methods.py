@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.assembly import (
     Assembler,
@@ -125,11 +125,3 @@ class MethodEvaluator:
 
     def rows(self, names: Iterable[str]) -> Dict[str, MethodRow]:
         return {name: self.row(name) for name in names}
-
-
-def evaluate_methods(
-    pools: Sequence[LanePool], names: Sequence[str], seed: int = 1
-) -> Tuple[MethodResult, Dict[str, MethodRow]]:
-    """Evaluate ``names`` against the shared random baseline on ``pools``."""
-    evaluator = MethodEvaluator(pools, seed=seed)
-    return evaluator.result("RANDOM"), evaluator.rows(names)

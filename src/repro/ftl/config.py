@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.ftl.repair import REPAIR_POLICIES
 from repro.ftl.wear_leveling import WearLevelingConfig
 
 
@@ -26,11 +25,9 @@ class FtlConfig:
     gc_low_watermark: int = 3
     gc_high_watermark: int = 5
     candidate_depth: int = 4
-    bootstrap_pe_budget: int = 2  # erases spent per block at format time
     wear_leveling: Optional[WearLevelingConfig] = None  # None = disabled
     superpage_steering: bool = False  # Section V-D express/bulk fast streams
     parity_protection: bool = False  # RAID-4 row parity on the last lane
-    repair_policy: str = "qstr"  # spare-drafting policy after a member fails
     max_repair_attempts: int = 4  # bounded retries per failed super word-line
 
     def __post_init__(self) -> None:
@@ -44,10 +41,5 @@ class FtlConfig:
             raise ValueError("gc_low_watermark must be >= 1")
         if self.gc_high_watermark < self.gc_low_watermark:
             raise ValueError("gc_high_watermark must be >= gc_low_watermark")
-        if self.repair_policy not in REPAIR_POLICIES:
-            raise ValueError(
-                f"unknown repair_policy {self.repair_policy!r}; "
-                f"pick from {REPAIR_POLICIES}"
-            )
         if self.max_repair_attempts < 1:
             raise ValueError("max_repair_attempts must be >= 1")

@@ -134,7 +134,7 @@ class Ftl:
         self.policies: ResolvedPolicies = (
             policies
             if policies is not None
-            else resolve_policies(seed=seed, legacy_repair=config.repair_policy)
+            else resolve_policies(seed=seed)
         )
         self.allocator: BlockAllocator = make_allocator(
             allocator_kind,
@@ -194,8 +194,8 @@ class Ftl:
 
         Each block is erased, fully programmed once in one whole-block call
         (:meth:`~repro.nand.chip.FlashChip.program_block`, gathered in one
-        pass), and erased again so it is ready for allocation — the
-        two-P/E-cycle cost the config's ``bootstrap_pe_budget`` documents.
+        pass), and erased again so it is ready for allocation: two P/E
+        cycles per block.
         A block whose erase or program reports FAIL, or that wears out, is
         left out of service.
         """

@@ -13,27 +13,19 @@ super word-line.  Two policies are provided:
   surviving members — the same similarity criterion
   :class:`repro.core.assembler.OnDemandAssembler` uses at assembly time.
 
-The policies themselves now live in ``repro.policy`` (registered as
-``repair.qstr`` / ``repair.random``); ``REPAIR_POLICIES`` is kept here for
-backward compatibility — the string form of ``FtlConfig.repair_policy`` is
-deprecated in favor of ``SimConfig.policies.repair``.
+The policies themselves live in ``repro.policy`` (registered as
+``repair.qstr`` / ``repair.random``) and are chosen by
+``SimConfig.policies.repair``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.policy.static import speed_candidates
-
-#: Legacy string names accepted by ``FtlConfig.repair_policy`` (deprecated;
-#: they map onto the ``repair.<name>`` registered policies).
-REPAIR_POLICIES: Tuple[str, ...] = ("qstr", "random")
 
 #: Candidate depth used when the allocator has no configured depth of its own.
 DEFAULT_REPAIR_DEPTH = 4
 
 __all__ = [
-    "REPAIR_POLICIES",
     "DEFAULT_REPAIR_DEPTH",
     "speed_candidates",
 ]

@@ -1,28 +1,10 @@
-"""NAND device model: geometry, process variation, stateful chips, packages.
+"""NAND device model: geometry, process variation, stateful chips.
 
 This package is the substrate that replaces the paper's physical testbed
 (24 SK hynix 3D TLC dies).  See DESIGN.md Section 4 for the latency model.
 """
 
-from repro.nand.chip import (
-    BlockProgramResult,
-    FlashChip,
-    MultiPlaneResult,
-    OperationResult,
-)
-from repro.nand.commands import (
-    CommandKind,
-    CommandLog,
-    CommandResult,
-    EraseTarget,
-    FlashCommand,
-    ProgramTarget,
-    ReadTarget,
-    erase_command,
-    execute,
-    program_command,
-    read_command,
-)
+from repro.nand.chip import BlockProgramResult, FlashChip, OperationResult
 from repro.nand.geometry import (
     PAPER_GEOMETRY,
     SMALL_GEOMETRY,
@@ -31,14 +13,6 @@ from repro.nand.geometry import (
     PageAddress,
     PageType,
     WordLineAddress,
-)
-from repro.nand.package import (
-    PAPER_TESTBED_SPECS,
-    FlashPackage,
-    PackageSpec,
-    build_package,
-    build_paper_testbed,
-    testbed_chips,
 )
 from repro.nand.reliability import (
     EccConfig,
@@ -57,19 +31,7 @@ from repro.nand.variation import (
 __all__ = [
     "FlashChip",
     "BlockProgramResult",
-    "MultiPlaneResult",
     "OperationResult",
-    "CommandKind",
-    "CommandLog",
-    "CommandResult",
-    "FlashCommand",
-    "ReadTarget",
-    "ProgramTarget",
-    "EraseTarget",
-    "read_command",
-    "program_command",
-    "erase_command",
-    "execute",
     "NandGeometry",
     "PageType",
     "BlockAddress",
@@ -77,12 +39,6 @@ __all__ = [
     "PageAddress",
     "PAPER_GEOMETRY",
     "SMALL_GEOMETRY",
-    "FlashPackage",
-    "PackageSpec",
-    "build_package",
-    "build_paper_testbed",
-    "testbed_chips",
-    "PAPER_TESTBED_SPECS",
     "EccConfig",
     "EccEngine",
     "ReadCorrection",

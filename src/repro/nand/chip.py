@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -88,24 +88,6 @@ class BlockProgramResult:
 
 _NO_LATENCIES = np.zeros(0)
 _NO_LATENCIES.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class MultiPlaneResult:
-    """Outcome of a multi-plane command.
-
-    ``latency_us`` is the completion time — the *maximum* of the per-plane
-    latencies, because an MP command reports completion only when the issued
-    operation finished on all planes (Section II-A).  ``extra_latency_us`` is
-    the max-min gap: the time fast planes sat idle waiting for the slowest.
-    """
-
-    latency_us: float
-    plane_latencies_us: Tuple[float, ...]
-
-    @property
-    def extra_latency_us(self) -> float:
-        return max(self.plane_latencies_us) - min(self.plane_latencies_us)
 
 
 class FlashChip:
@@ -393,49 +375,3 @@ class FlashChip:
                     latency_us=latency,
                 )
         return OperationResult(latency_us=latency, correction=correction), payload
-
-    # -- multi-plane operations ----------------------------------------------------
-
-    @staticmethod
-    def _check_distinct_planes(planes: Sequence[int]) -> None:
-        if len(set(planes)) != len(planes):
-            raise errors.MultiPlaneError(f"duplicate planes in MP command: {planes}")
-
-    def multiplane_erase(self, targets: Iterable[Tuple[int, int]]) -> MultiPlaneResult:
-        """Erase one block on each of several planes in parallel."""
-        targets = list(targets)
-        if not targets:
-            raise errors.MultiPlaneError("empty multi-plane erase")
-        self._check_distinct_planes([plane for plane, _ in targets])
-        latencies = tuple(
-            self.erase_block(plane, block).latency_us for plane, block in targets
-        )
-        return MultiPlaneResult(latency_us=max(latencies), plane_latencies_us=latencies)
-
-    def multiplane_program(
-        self, targets: Iterable[Tuple[int, int, int]]
-    ) -> MultiPlaneResult:
-        """Program one word-line on each of several planes in parallel."""
-        targets = list(targets)
-        if not targets:
-            raise errors.MultiPlaneError("empty multi-plane program")
-        self._check_distinct_planes([plane for plane, _, _ in targets])
-        latencies = tuple(
-            self.program_wordline(plane, block, lwl).latency_us
-            for plane, block, lwl in targets
-        )
-        return MultiPlaneResult(latency_us=max(latencies), plane_latencies_us=latencies)
-
-    def multiplane_read(
-        self, targets: Iterable[Tuple[int, int, int, PageType]]
-    ) -> MultiPlaneResult:
-        """Read one page on each of several planes in parallel."""
-        targets = list(targets)
-        if not targets:
-            raise errors.MultiPlaneError("empty multi-plane read")
-        self._check_distinct_planes([plane for plane, _, _, _ in targets])
-        latencies = tuple(
-            self.read_page(plane, block, lwl, page_type)[0].latency_us
-            for plane, block, lwl, page_type in targets
-        )
-        return MultiPlaneResult(latency_us=max(latencies), plane_latencies_us=latencies)

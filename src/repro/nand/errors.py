@@ -1,8 +1,8 @@
 """Exception hierarchy for the NAND device model.
 
-The flash chip enforces the same ordering/addressing rules real NAND does
-(erase-before-program, sequential word-line programming, address bounds,
-endurance limits); violations raise typed errors so the FTL above — and the
+The flash chip enforces the same ordering rules real NAND does
+(erase-before-program, sequential word-line programming, endurance
+limits); violations raise typed errors so the FTL above — and the
 test-suite — can distinguish programming bugs from device wear-out.
 """
 
@@ -13,20 +13,12 @@ class FlashError(Exception):
     """Base class for all NAND device errors."""
 
 
-class AddressError(FlashError):
-    """An address component is outside the chip geometry."""
-
-
 class ProgramOrderError(FlashError):
     """Word-lines of a block must be programmed in ascending LWL order."""
 
 
 class ProgramStateError(FlashError):
     """Programming a word-line that is not in the erased state."""
-
-
-class EraseStateError(FlashError):
-    """Erasing a block in an invalid state (e.g. already retired)."""
 
 
 class BadBlockError(FlashError):
@@ -51,7 +43,3 @@ class UncorrectableReadError(FlashError):
     def __init__(self, message: str, latency_us: float = 0.0) -> None:
         super().__init__(message)
         self.latency_us = latency_us
-
-
-class MultiPlaneError(FlashError):
-    """Malformed multi-plane command (duplicate planes, mixed ops, ...)."""

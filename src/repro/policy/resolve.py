@@ -1,4 +1,4 @@
-"""Spec -> instance resolution, including the legacy repair shim.
+"""Spec -> instance resolution.
 
 Only frozen :class:`~repro.policy.spec.PolicySpec` values cross process
 boundaries; each sweep worker calls :func:`resolve_policies` when it builds
@@ -8,7 +8,6 @@ inside the process that uses it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,32 +50,15 @@ def resolve_policies(
     policies: Optional[PolicyConfig] = None,
     *,
     seed: int = 0,
-    legacy_repair: Optional[str] = None,
 ) -> ResolvedPolicies:
-    """Build the live policy set for one FTL.
-
-    ``legacy_repair`` is the deprecated ``FtlConfig.repair_policy`` string;
-    it only applies while ``policies.repair`` is unset, and any non-default
-    value raises a :class:`DeprecationWarning` pointing at the replacement.
-    """
+    """Build the live policy set for one FTL; unset slots get the defaults."""
     if policies is None:
         policies = PolicyConfig()
-    repair_spec = policies.repair
-    if repair_spec is None and legacy_repair is not None:
-        if legacy_repair != "qstr":
-            warnings.warn(
-                f"FtlConfig.repair_policy={legacy_repair!r} is deprecated; "
-                f"set SimConfig.policies.repair to "
-                f"'repair.{legacy_repair}' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        repair_spec = PolicySpec(f"repair.{legacy_repair}")
     resolved = ResolvedPolicies(
         assembly=_resolve_one("assembly", policies.assembly, seed),  # type: ignore[arg-type]
         allocation=_resolve_one("allocation", policies.allocation, seed),  # type: ignore[arg-type]
         gc_victim=_resolve_one("gc_victim", policies.gc_victim, seed),  # type: ignore[arg-type]
         wear=_resolve_one("wear", policies.wear, seed),  # type: ignore[arg-type]
-        repair=_resolve_one("repair", repair_spec, seed),  # type: ignore[arg-type]
+        repair=_resolve_one("repair", policies.repair, seed),  # type: ignore[arg-type]
     )
     return resolved

@@ -151,10 +151,7 @@ class PolicySpec:
         return f"{self.name}:{rendered}"
 
 
-#: What each decision point resolves to when its spec slot is unset.  The
-#: ``repair`` slot is special: unset defers to the legacy
-#: ``FtlConfig.repair_policy`` string (see ``repro.policy.resolve``), so its
-#: default here is only the final fallback.
+#: What each decision point resolves to when its spec slot is unset.
 DEFAULT_SPECS: Dict[str, PolicySpec] = {
     "assembly": PolicySpec("assembly.qstr"),
     "allocation": PolicySpec("allocation.static"),
@@ -192,9 +189,7 @@ class PolicyConfig:
     ``"name:k=v,..."`` text form (which is what sweep axes and the CLI
     ``--policy`` flag feed through ``with_path``).  A slot explicitly set to
     its default spec is normalized back to ``None`` so config equality,
-    serialization and content hashes cannot distinguish the two — except
-    ``repair``, whose unset state defers to the legacy
-    ``FtlConfig.repair_policy`` field and therefore stays explicit.
+    serialization and content hashes cannot distinguish the two.
     """
 
     assembly: Optional[PolicySpec] = None
@@ -206,7 +201,7 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         for point in POLICY_POINTS:
             spec = _coerce_spec(point, getattr(self, point))
-            if point != "repair" and spec == DEFAULT_SPECS[point]:
+            if spec == DEFAULT_SPECS[point]:
                 spec = None
             object.__setattr__(self, point, spec)
 

@@ -149,7 +149,7 @@ class ColdestWearPolicy(WearPolicy):
     description="PV-aware spare drafting: speed-matched, eigen-similar to survivors",
 )
 class QstrRepairPolicy(RepairPolicy):
-    """The PV-aware spare choice (``repair_policy=\"qstr\"``)."""
+    """The PV-aware spare choice (the default)."""
 
     def draft(self, context: RepairContext) -> BlockRecord:
         return choose_similar(context.candidates, context.survivors)
@@ -160,11 +160,12 @@ class QstrRepairPolicy(RepairPolicy):
     description="Conventional-firmware spare drafting: any free block",
 )
 class RandomRepairPolicy(RepairPolicy):
-    """The baseline spare choice (``repair_policy=\"random\"``).
+    """The baseline spare choice.
 
-    Draws from the context's repair stream — the FTL's historical
-    ``derive_seed(seed, "ftl", "repair")`` generator — so legacy runs stay
-    byte-identical.
+    Draws from the context's repair stream — the FTL's
+    ``derive_seed(seed, "ftl", "repair")`` generator, not a ``"policy"``
+    stream — which keeps the trace digest pinned in
+    ``tests/test_policy_identity.py``.
     """
 
     def draft(self, context: RepairContext) -> BlockRecord:

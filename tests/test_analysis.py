@@ -6,8 +6,6 @@ import pytest
 from repro.analysis import (
     PAPER_TABLE1,
     PAPER_TABLE5,
-    TestbedConfig,
-    build_testbed,
     cumulative_mean,
     fig5_characterization,
     fig6_random_extra,
@@ -22,22 +20,21 @@ from repro.analysis import (
     render_table5,
     run_methods,
     sparkline,
-    standard_pools,
     table2_window_sweep,
     table5_extra_latency,
 )
-from repro.nand import SMALL_GEOMETRY, VariationParams
+from repro.exp import SimConfig, build_stack
+from repro.nand import SMALL_GEOMETRY
 from repro.utils.stats import Histogram
 
-SMALL_TESTBED = TestbedConfig(
-    geometry=SMALL_GEOMETRY, params=VariationParams(), seed=7, chips=3, pool_blocks=16
+SMALL_TESTBED = SimConfig.testbed(
+    seed=7, chips=3, pool_blocks=16, geometry=SMALL_GEOMETRY
 )
 
 
 @pytest.fixture(scope="module")
 def pools():
-    chips = build_testbed(SMALL_TESTBED)
-    return standard_pools(chips, SMALL_TESTBED.pool_blocks)
+    return build_stack(SMALL_TESTBED).pools()
 
 
 class TestDrivers:
@@ -61,7 +58,7 @@ class TestDrivers:
         assert "RANDOM" in text and "paper PGM" in text
 
     def test_fig5_series(self):
-        chips = build_testbed(SMALL_TESTBED)
+        chips = build_stack(SMALL_TESTBED).chips
         series = fig5_characterization(chips, erase_blocks=6, curve_blocks=(0, 1))
         assert len(series.erase_by_chip_plane) == 3 * SMALL_GEOMETRY.planes_per_chip
         assert (0, 0) in series.program_curves

@@ -13,6 +13,8 @@ from repro.analysis.faults import (
     default_fault_config,
     render_repair_comparison,
 )
+from repro.policy.registry import policy_names
+from repro.policy.spec import PolicySpec
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,12 @@ class TestRepairPolicyComparison:
     def test_zero_data_loss_under_both_policies(self, comparison):
         for result in comparison.results:
             assert result.unlocated_pages == 0
+
+    def test_one_row_per_registered_repair_policy(self, comparison):
+        # the rows follow the policy registry, the only list of repair names
+        registered = [PolicySpec(name).short_name for name in policy_names("repair")]
+        assert [result.policy for result in comparison.results] == registered
+        assert set(registered) == {"qstr", "random"}
 
     def test_render_mentions_both_policies_and_the_advantage(self, comparison):
         text = render_repair_comparison(comparison)

@@ -29,7 +29,6 @@ EXPECTED_EXPORTS = frozenset(
         "build_stack",
         "default_cache_dir",
         "dig",
-        "evaluate_methods",
         "make_assembler",
         "method_names",
         "register_task",
@@ -49,7 +48,6 @@ EXPECTED_EXPORTS = frozenset(
         "PageType",
         "ProbePlan",
         "Prober",
-        "REPAIR_POLICIES",
         "SMALL_GEOMETRY",
         "Ssd",
         "TimingConfig",
@@ -171,8 +169,6 @@ EXPECTED_EXPORTS = frozenset(
         "SensitivityPoint",
         "TABLE1_METHODS",
         "TABLE5_METHODS",
-        "TestbedConfig",
-        "build_testbed",
         "compare_repair_policies",
         "cumulative_mean",
         "default_fault_config",
@@ -196,7 +192,6 @@ EXPECTED_EXPORTS = frozenset(
         "run_repair_policy",
         "seed_sweep",
         "sparkline",
-        "standard_pools",
         "table1_eight_directions",
         "table2_window_sweep",
         "table5_extra_latency",

@@ -44,8 +44,6 @@ class TestSuperblock:
         )
         assert sb.extra_program_latency_us == pytest.approx(2.0 * 8)
         assert sb.extra_erase_latency_us == pytest.approx(10.0)
-        assert sb.program_completion_us == pytest.approx(12.0 * 8)
-        assert sb.erase_completion_us == pytest.approx(100.0)
         assert sb.member_keys() == [(0, 0, 0), (1, 0, 0)]
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.assembly import (
-    RandomAssembler,
-    StrMedianAssembler,
-    compare_methods,
-    evaluate_assembler,
-)
+from repro.assembly import RandomAssembler, StrMedianAssembler, evaluate_assembler
 from repro.assembly.evaluate import MethodResult
 
 
@@ -36,12 +31,6 @@ class TestEvaluate:
     def test_overhead_counters_copied(self, small_pools):
         result = evaluate_assembler(StrMedianAssembler(4), small_pools)
         assert result.pair_checks > 0
-
-    def test_compare_methods(self, small_pools):
-        results = compare_methods(
-            [RandomAssembler(seed=0), StrMedianAssembler(4)], small_pools
-        )
-        assert set(results) == {"random", "str_med(4)"}
 
     def test_same_pools_reused(self, small_pools):
         # evaluation must not consume/mutate the pools

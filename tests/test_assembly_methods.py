@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.assembly import (
-    METHOD_REGISTRY,
     ErsLatencyAssembler,
     LwlRankAssembler,
     OptimalAssembler,
@@ -18,6 +17,7 @@ from repro.assembly import (
 )
 from repro.assembly.base import LanePool
 from repro.characterization.datasets import BlockMeasurement
+from repro.exp.methods import make_assembler, method_names
 
 
 def _consumes_each_block_once(assembler, pools):
@@ -155,7 +155,25 @@ class TestRankMethods:
 
 class TestRegistry:
     def test_all_methods_constructible(self, small_pools):
-        for name, factory in METHOD_REGISTRY.items():
-            assembler = factory()
-            superblocks = assembler.assemble(small_pools)
+        for name in method_names():
+            superblocks = make_assembler(name).assemble(small_pools)
             assert superblocks, name
+
+    def test_random_uses_the_baseline_seed(self, small_pools):
+        # every method is compared against RANDOM seeded 1, the baseline
+        def keys(assembler):
+            return [sb.member_keys() for sb in assembler.assemble(small_pools)]
+
+        assert keys(make_assembler("RANDOM")) == keys(RandomAssembler(seed=1))
+        assert keys(make_assembler("RANDOM", seed=5)) == keys(RandomAssembler(seed=5))
+
+    @pytest.mark.parametrize("window", [2, 6, 8])
+    def test_any_window_size_parses(self, window):
+        assembler = make_assembler(f"STR-RANK({window})")
+        assert isinstance(assembler, StrRankAssembler)
+        assert assembler.window == window
+
+    @pytest.mark.parametrize("name", ["BOGUS", "STR-RANK", "STR-RANK(x)", "RANDOM(4)"])
+    def test_unknown_method_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown method"):
+            make_assembler(name)

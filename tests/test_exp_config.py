@@ -117,6 +117,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="warp_drive"):
             SimConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value", [("repair_policy", "random"), ("bootstrap_pe_budget", 0)]
+    )
+    def test_from_dict_rejects_removed_ftl_fields(self, field, value):
+        # a config saved while FtlConfig still had these knobs fails loudly
+        # instead of silently dropping its repair choice
+        config = SimConfig.device(blocks=20).with_(
+            ftl=FtlConfig(usable_blocks_per_plane=16)
+        )
+        data = config.to_dict()
+        data["ftl"][field] = value
+        with pytest.raises(ValueError, match=f"unknown FtlConfig fields.*{field}"):
+            SimConfig.from_dict(data)
+
 
 class TestFunctionalUpdates:
     def test_with_replaces_top_level(self):

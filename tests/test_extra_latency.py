@@ -9,9 +9,6 @@ from repro.characterization.datasets import BlockMeasurement
 from repro.characterization.extra_latency import (
     extra_erase_latency,
     extra_program_latency,
-    per_wordline_extra_program,
-    superblock_erase_completion,
-    superblock_program_completion,
 )
 
 
@@ -27,10 +24,7 @@ class TestDefinitions:
         b = measurement([[12.0, 18.0]], ers=104.0, chip=1)
         # per-WL gaps: |10-12| = 2, |20-18| = 2 -> total 4
         assert extra_program_latency([a, b]) == pytest.approx(4.0)
-        assert list(per_wordline_extra_program([a, b])) == [2.0, 2.0]
         assert extra_erase_latency([a, b]) == pytest.approx(4.0)
-        assert superblock_program_completion([a, b]) == pytest.approx(12 + 20)
-        assert superblock_erase_completion([a, b]) == pytest.approx(104.0)
 
     def test_identical_members_zero_extra(self):
         a = measurement([[5.0, 6.0], [7.0, 8.0]])
@@ -51,9 +45,20 @@ class TestDefinitions:
         with pytest.raises(ValueError):
             extra_program_latency([a, b])
 
-    def test_empty_completion(self):
+    def test_empty_superblock_rejected(self):
         with pytest.raises(ValueError):
-            superblock_erase_completion([])
+            extra_program_latency([])
+        with pytest.raises(ValueError):
+            extra_erase_latency([])
+
+    def test_erase_extra_is_the_member_spread(self):
+        # the slowest erase bounds the MP erase: only max - min counts,
+        # however many members sit in between
+        members = [
+            measurement([[1.0]], ers=ers, chip=i)
+            for i, ers in enumerate((103.0, 100.0, 109.0, 101.5))
+        ]
+        assert extra_erase_latency(members) == pytest.approx(9.0)
 
 
 lat_matrices = st.lists(
@@ -75,13 +80,6 @@ class TestProperties:
         assert extra <= bound + 1e-9
 
     @given(st.lists(lat_matrices, min_size=2, max_size=4))
-    def test_completion_at_least_any_member_total(self, matrices):
-        members = [measurement(m, chip=i) for i, m in enumerate(matrices)]
-        completion = superblock_program_completion(members)
-        for member in members:
-            assert completion >= member.program_total_us - 1e-9
-
-    @given(st.lists(lat_matrices, min_size=2, max_size=4))
     def test_adding_member_never_reduces_extra(self, matrices):
         members = [measurement(m, chip=i) for i, m in enumerate(matrices)]
         smaller = extra_program_latency(members[:2])
@@ -98,3 +96,35 @@ class TestProperties:
         assert extra_program_latency(members) == pytest.approx(
             extra_program_latency(shifted), abs=1e-6
         )
+
+    @given(st.lists(lat_matrices, min_size=2, max_size=4))
+    def test_extra_equals_per_wordline_gap_sum(self, matrices):
+        members = [measurement(m, chip=i) for i, m in enumerate(matrices)]
+        flat = [[v for row in m for v in row] for m in matrices]
+        gaps = [
+            max(column) - min(column) for column in zip(*flat)
+        ]
+        assert extra_program_latency(members) == pytest.approx(sum(gaps), abs=1e-6)
+
+    @given(st.lists(lat_matrices, min_size=2, max_size=4))
+    def test_extra_at_least_member_total_spread(self, matrices):
+        # every super word-line waits for its slowest member, so the summed
+        # gap can never undercut the spread of the members' block totals
+        members = [measurement(m, chip=i) for i, m in enumerate(matrices)]
+        totals = [member.program_total_us for member in members]
+        assert extra_program_latency(members) >= max(totals) - min(totals) - 1e-6
+
+    @given(
+        st.lists(lat_matrices, min_size=2, max_size=4),
+        st.lists(st.floats(1, 1000, allow_nan=False), min_size=4, max_size=4),
+    )
+    def test_extra_invariant_to_member_order(self, matrices, erase_latencies):
+        members = [
+            measurement(m, ers=ers, chip=i)
+            for i, (m, ers) in enumerate(zip(matrices, erase_latencies))
+        ]
+        reversed_members = members[::-1]
+        assert extra_program_latency(reversed_members) == pytest.approx(
+            extra_program_latency(members), abs=1e-9
+        )
+        assert extra_erase_latency(reversed_members) == extra_erase_latency(members)

@@ -12,6 +12,7 @@ from repro.nand import (
     VariationModel,
     VariationParams,
 )
+from repro.policy import PolicyConfig, resolve_policies
 
 STRONG_ECC = EccConfig()
 #: stress level that saturates RBER -> every read on that lane fails
@@ -26,7 +27,7 @@ def build_ftl(
     seed=61,
     blocks=24,
     parity=True,
-    repair_policy="qstr",
+    repair="repair.qstr",
 ):
     params = VariationParams(
         factory_bad_ratio=0.0, endurance_cycles=100_000, endurance_sigma_log=0.0
@@ -52,9 +53,9 @@ def build_ftl(
             gc_low_watermark=2,
             gc_high_watermark=3,
             parity_protection=parity,
-            repair_policy=repair_policy,
             max_repair_attempts=8,
         ),
+        policies=resolve_policies(PolicyConfig(repair=repair)),
     )
     ftl.format()
     return ftl
@@ -117,7 +118,7 @@ class TestProgramFailRepair:
         results = {}
         for policy in ("qstr", "random"):
             ftl = build_ftl(
-                FaultPlan(program_fail_prob=0.004), repair_policy=policy
+                FaultPlan(program_fail_prob=0.004), repair=f"repair.{policy}"
             )
             write_rounds(ftl, 2)
             for lpn in range(ftl.logical_pages):

@@ -6,7 +6,6 @@ from repro.nand import SMALL_GEOMETRY, FlashChip, PageType, VariationModel, Vari
 from repro.nand.errors import (
     BadBlockError,
     EnduranceExceededError,
-    MultiPlaneError,
     ProgramOrderError,
     ProgramStateError,
     ReadStateError,
@@ -156,38 +155,3 @@ class TestFactoryBad:
         )
         with pytest.raises(BadBlockError):
             chip.erase_block(0, bad)
-
-
-class TestMultiPlane:
-    def test_mp_erase_completion_is_max(self, chip):
-        result = chip.multiplane_erase([(0, 5), (1, 5)])
-        assert result.latency_us == max(result.plane_latencies_us)
-        assert result.extra_latency_us == (
-            max(result.plane_latencies_us) - min(result.plane_latencies_us)
-        )
-
-    def test_mp_program(self, chip):
-        chip.multiplane_erase([(0, 6), (1, 6)])
-        result = chip.multiplane_program([(0, 6, 0), (1, 6, 0)])
-        assert len(result.plane_latencies_us) == 2
-        assert result.latency_us == max(result.plane_latencies_us)
-
-    def test_mp_read(self, chip):
-        chip.multiplane_erase([(0, 7), (1, 7)])
-        chip.multiplane_program([(0, 7, 0), (1, 7, 0)])
-        result = chip.multiplane_read(
-            [(0, 7, 0, PageType.LSB), (1, 7, 0, PageType.LSB)]
-        )
-        assert result.latency_us >= max(result.plane_latencies_us)
-
-    def test_mp_duplicate_plane_rejected(self, chip):
-        with pytest.raises(MultiPlaneError):
-            chip.multiplane_erase([(0, 1), (0, 2)])
-
-    def test_mp_empty_rejected(self, chip):
-        with pytest.raises(MultiPlaneError):
-            chip.multiplane_erase([])
-        with pytest.raises(MultiPlaneError):
-            chip.multiplane_program([])
-        with pytest.raises(MultiPlaneError):
-            chip.multiplane_read([])

@@ -72,12 +72,15 @@ class TestPolicyConfig:
         assert config.is_default
         assert config.assembly is None and config.gc_victim is None
 
-    def test_repair_slot_is_never_normalized(self):
-        # unset repair defers to the legacy FtlConfig.repair_policy shim,
-        # so an *explicit* repair.qstr is a different (modern) statement.
+    def test_explicit_default_repair_normalizes_to_unset(self):
+        # repair.qstr is the repair default like any other slot's default,
+        # so spelling it out must not fork the sweep cache key
         config = PolicyConfig(repair="repair.qstr")
-        assert not config.is_default
-        assert config.repair == PolicySpec("repair.qstr")
+        assert config.is_default and config.repair is None
+        unset = SimConfig.device(seed=7, chips=4, blocks=24)
+        explicit = unset.with_path("policies.repair", "repair.qstr")
+        assert explicit == unset
+        assert explicit.content_hash() == unset.content_hash() == "847447651dd50c0e"
 
     def test_point_prefix_mismatch_rejected(self):
         with pytest.raises(ValueError, match="assembly"):
@@ -139,11 +142,6 @@ class TestRegistry:
         assert resolved.gc_victim.name == "gc.min_valid"
         assert isinstance(resolved.gc_victim, GcVictimPolicy)
         assert resolved.repair.name == "repair.qstr"
-
-    def test_resolve_legacy_repair_warns(self):
-        with pytest.deprecated_call(match="repair.random"):
-            resolved = resolve_policies(PolicyConfig(), seed=5, legacy_repair="random")
-        assert resolved.repair.name == "repair.random"
 
 
 # ------------------------------------------------------------------ pickling

@@ -23,7 +23,7 @@ from typing import List
 import numpy as np
 
 from repro.api import (
-    build_testbed,
+    build_stack,
     cumulative_mean,
     fig13_distributions,
     fig14_per_superblock,
@@ -41,9 +41,8 @@ from repro.api import (
     render_histogram,
     render_series_block,
     run_methods,
-    standard_pools,
+    SimConfig,
     str_med_pair_checks,
-    TestbedConfig,
     TIB,
 )
 
@@ -95,8 +94,7 @@ def main() -> None:
 
     t0 = time.time()
     print("building testbed and probing pools ...")
-    chips = build_testbed(TestbedConfig())
-    pools = standard_pools(chips)
+    pools = build_stack(SimConfig.testbed()).pools()
     baseline, rows = run_methods(pools, ALL_METHODS)
 
     def row(name) -> MethodRow:
@@ -260,7 +258,7 @@ def main() -> None:
     print("running P/E sweep ...")
     w("## Figure 15 — P/E cycle sensitivity")
     w("")
-    sweep_chips = build_testbed(TestbedConfig(seed=4242))
+    sweep_chips = build_stack(SimConfig.testbed(seed=4242)).chips
     points = fig15_pe_sweep(
         sweep_chips, tuple(range(0, 3001, args.pe_step)), pool_blocks=200
     )
