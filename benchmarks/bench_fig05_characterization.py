@@ -7,13 +7,14 @@ chip but diverge across chips once the common layer shape is removed.
 
 import numpy as np
 
-from repro.api import fig5_characterization, mean_lwl_curve, render_series_block
+from repro.api import fig5_characterization, render_series_block
 
 
-def test_fig05_characterization(benchmark, testbed_chips):
+def test_fig05_characterization(benchmark, sim_config):
+    # Two chips of the shared testbed config on a fresh stack, so what the
+    # other benches probed in the shared pools cannot leak into Figure 5.
     series = benchmark.pedantic(
-        lambda: fig5_characterization(testbed_chips[:2], erase_blocks=400,
-                                      curve_blocks=(0, 1, 2, 3)),
+        lambda: fig5_characterization(sim_config.with_(chips=2), curve_blocks=(0, 1, 2, 3)),
         rounds=1,
         iterations=1,
     )

@@ -7,8 +7,10 @@ average extra erase latency when superblocks are grouped at random.
 from repro.api import fig6_random_extra, render_series_block
 
 
-def test_fig06_random_extra_latency(benchmark, pools):
-    series = benchmark.pedantic(lambda: fig6_random_extra(pools), rounds=1, iterations=1)
+def test_fig06_random_extra_latency(benchmark, evaluator):
+    series = benchmark.pedantic(
+        lambda: fig6_random_extra(evaluator), rounds=1, iterations=1
+    )
 
     print()
     print(

@@ -5,17 +5,16 @@ Paper: QSTR-MED reduces extra PGM latency by 16.61% and extra ERS latency by
 method), within ~380 µs of the impractical optimal.
 """
 
-from repro.api import render_table
+from repro.api import render_table, TABLE5_METHODS
 
-METHODS = ["SEQUENTIAL", "OPTIMAL(8)", "QSTR-MED(4)", "STR-MED(4)"]
 PAPER_PGM_IMP = {"SEQUENTIAL": 10.45, "OPTIMAL(8)": 19.49, "QSTR-MED(4)": 16.61, "STR-MED(4)": 16.74}
 
 
 def test_fig12_improvement(benchmark, evaluator):
-    rows = benchmark.pedantic(lambda: evaluator.rows(METHODS), rounds=1, iterations=1)
+    rows = benchmark.pedantic(lambda: evaluator.rows(TABLE5_METHODS), rounds=1, iterations=1)
 
     body = []
-    for name in METHODS:
+    for name in TABLE5_METHODS:
         row = rows[name]
         body.append(
             [

@@ -14,9 +14,9 @@ from repro.api import (
 )
 
 
-def test_fig14_all_superblocks(benchmark, pools):
+def test_fig14_all_superblocks(benchmark, evaluator):
     series = benchmark.pedantic(
-        lambda: fig14_per_superblock(pools), rounds=1, iterations=1
+        lambda: fig14_per_superblock(evaluator), rounds=1, iterations=1
     )
 
     str_trend = cumulative_mean(series.str_med)

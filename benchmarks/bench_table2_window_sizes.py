@@ -4,21 +4,18 @@ Paper: 18.27 / 18.05 / 17.42 / 15.02 % — larger windows help monotonically,
 with diminishing returns above 4.
 """
 
-from repro.api import render_table2
-
-
-WINDOW_NAMES = ["STR-RANK(8)", "STR-RANK(6)", "STR-RANK(4)", "STR-RANK(2)"]
+from repro.api import render_table2, TABLE2_METHODS
 
 
 def test_table2_window_sizes(benchmark, evaluator):
     rows = benchmark.pedantic(
-        lambda: evaluator.rows(WINDOW_NAMES), rounds=1, iterations=1
+        lambda: evaluator.rows(TABLE2_METHODS), rounds=1, iterations=1
     )
 
     print()
     print(render_table2(rows))
 
-    imp = [rows[name].improvement_pct for name in WINDOW_NAMES]  # 8, 6, 4, 2
+    imp = [rows[name].improvement_pct for name in TABLE2_METHODS]  # 8, 6, 4, 2
     # monotone in window size
     assert imp[0] >= imp[1] >= imp[2] >= imp[3]
     # diminishing returns: the 2->4 step dominates the 4->8 step

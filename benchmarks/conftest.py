@@ -23,18 +23,8 @@ def sim_config() -> SimConfig:
 
 
 @pytest.fixture(scope="session")
-def stack(sim_config):
-    return build_stack(sim_config)
-
-
-@pytest.fixture(scope="session")
-def testbed_chips(stack):
-    return stack.chips
-
-
-@pytest.fixture(scope="session")
-def pools(stack):
-    return stack.pools()
+def pools(sim_config):
+    return build_stack(sim_config).pools()
 
 
 @pytest.fixture(scope="session")

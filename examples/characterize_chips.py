@@ -13,52 +13,38 @@ PV-aware superblock organization:
 Run:  python examples/characterize_chips.py
 """
 
-import numpy as np
-
 from repro.api import (
+    build_stack,
     eigen_sequence,
-    FlashChip,
     mean_lwl_curve,
-    MeasurementSet,
-    PAPER_GEOMETRY,
-    Prober,
     render_series_block,
     residual_trend_correlation,
+    SimConfig,
     sparkline,
     variability_report,
-    VariationModel,
-    VariationParams,
 )
 
 
 def main() -> None:
-    model = VariationModel(PAPER_GEOMETRY, VariationParams(), seed=7)
-    chips = [FlashChip(model.chip_profile(c), PAPER_GEOMETRY) for c in range(2)]
-
     print("probing 2 chips x 120 blocks ...")
-    measurements = MeasurementSet()
-    for chip in chips:
-        prober = Prober(chip)
-        for block in range(120):
-            if not chip.is_bad(0, block):
-                measurements.add(prober.probe_block(0, block))
+    pools = build_stack(SimConfig.testbed(seed=7, chips=2, pool_blocks=120)).pools()
 
     # -- 1. erase latency spread -------------------------------------------------
     print()
     erase_series = {
-        f"chip {chip_id}": [m.erase_latency_us for m in measurements.chip(chip_id)]
-        for chip_id in measurements.chip_ids()
+        f"chip {pool.lane}": [m.erase_latency_us for m in pool.blocks] for pool in pools
     }
     print(render_series_block("tBERS per block [us] (Fig 5 top)", erase_series))
-    report = variability_report(measurements, "program_total")
+    report = variability_report(
+        [m for pool in pools for m in pool.blocks], "program_total"
+    )
     print(
         f"\nblock program-latency spread: within-chip std "
         f"{report.within_chip_std:,.0f} us, cross-chip std {report.cross_chip_std:,.0f} us"
     )
 
     # -- 2. word-line trends ---------------------------------------------------------
-    chip0 = measurements.chip(0).measurements
-    chip1 = measurements.chip(1).measurements
+    chip0, chip1 = pools[0].blocks, pools[1].blocks
     common = mean_lwl_curve(chip0 + chip1)
     within = residual_trend_correlation(chip0[0], chip0[1], common)
     across = residual_trend_correlation(chip0[0], chip1[0], common)

@@ -11,27 +11,25 @@ Run:  python examples/ondemand_assembly.py
 """
 
 from repro.api import (
-    FlashChip,
+    build_stack,
     FootprintModel,
     format_bytes,
     overhead_reduction_pct,
     PAPER_GEOMETRY,
     qstr_med_pair_checks,
     QstrMedScheme,
+    SimConfig,
     SpeedClass,
     str_med_pair_checks,
     TIB,
-    VariationModel,
-    VariationParams,
     WriteIntent,
     WriteSource,
 )
 
 
 def main() -> None:
-    model = VariationModel(PAPER_GEOMETRY, VariationParams(), seed=11)
-    lanes = [0, 1, 2, 3]
-    chips = {lane: FlashChip(model.chip_profile(lane), PAPER_GEOMETRY) for lane in lanes}
+    chips = dict(enumerate(build_stack(SimConfig.testbed(seed=11, chips=4)).chips))
+    lanes = list(chips)
     scheme = QstrMedScheme(PAPER_GEOMETRY, lanes, candidate_depth=4)
 
     # -- gathering: program blocks and stream the latencies in -----------------

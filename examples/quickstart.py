@@ -1,40 +1,30 @@
 #!/usr/bin/env python3
 """Quickstart: measure the superpage problem and fix it with QSTR-MED.
 
-Builds a four-chip synthetic testbed, probes 200 blocks per chip through the
+Builds a four-chip synthetic testbed, probes 400 blocks per chip through the
 normal chip API, then compares random superblock organization against the
 paper's QSTR-MED scheme — printing the extra program/erase latency both ways.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.api import (
-    build_lane_pools,
-    evaluate_assembler,
-    FlashChip,
-    PAPER_GEOMETRY,
-    QstrMedAssembler,
-    RandomAssembler,
-    VariationModel,
-    VariationParams,
-)
+from repro.api import build_stack, MethodEvaluator, SimConfig
 
 
 def main() -> None:
     # 1. A synthetic testbed: four 3D TLC chips sharing one wafer's
     #    process-variation structure (the stand-in for the paper's hardware).
-    model = VariationModel(PAPER_GEOMETRY, VariationParams(), seed=2024)
-    chips = [FlashChip(model.chip_profile(c), PAPER_GEOMETRY) for c in range(4)]
+    stack = build_stack(SimConfig.testbed(seed=2024, chips=4, pool_blocks=400))
 
     # 2. Characterize: erase + fully program 400 blocks per chip, recording
     #    every word-line latency (this is what a tester — or the FTL's own
     #    gathering unit — sees).
     print("probing 4 chips x 400 blocks ...")
-    pools = build_lane_pools(chips, range(400))
+    evaluator = MethodEvaluator(stack.pools())
 
     # 3. Organize superblocks two ways and compare.
-    random_result = evaluate_assembler(RandomAssembler(seed=1), pools)
-    qstr_result = evaluate_assembler(QstrMedAssembler(candidate_depth=4), pools)
+    random_result = evaluator.result("RANDOM")
+    qstr_result = evaluator.result("QSTR-MED(4)")
 
     print(f"\n{'':24}{'extra PGM (us)':>16}{'extra ERS (us)':>16}")
     print(

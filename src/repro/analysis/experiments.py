@@ -1,37 +1,31 @@
 """Experiment drivers for every table and figure of the paper.
 
-Each function builds exactly the data one table/figure reports, using the
-same synthetic testbed (four chips, 400-block pools per chip by default —
-the per-P/E-cycle superblock budget of Section IV-A).  The benchmark
-harness and the examples call these; EXPERIMENTS.md records the outputs
-next to the paper's numbers.
+Each function builds exactly the data one table/figure reports from the one
+construction path: a :class:`~repro.exp.SimConfig` testbed (four chips,
+400-block pools per chip by default — the per-P/E-cycle superblock budget
+of Section IV-A) built by :func:`~repro.exp.build_stack`, its pools
+evaluated by one :class:`~repro.exp.MethodEvaluator`.  Figure 15 is the
+``methods`` sweep task over ``pe_cycles``.  The CLI, the benches and the
+report generator call these; EXPERIMENTS.md records the outputs next to the
+paper's numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.assembly import (
-    LanePool,
-    MethodResult,
-    OptimalAssembler,
-    RandomAssembler,
-    StrMedianAssembler,
-    build_lane_pools,
-    evaluate_assembler,
+from repro.assembly import LanePool, MethodResult, build_lane_pools
+from repro.exp import (
+    DEFAULT_METHODS,
+    MethodEvaluator,
+    MethodRow,
+    SimConfig,
+    build_stack,
 )
-from repro.characterization.prober import Prober
-from repro.core import QstrMedAssembler
-from repro.exp import MethodEvaluator, MethodRow
-from repro.nand import FlashChip
 from repro.utils.stats import Histogram
-
-DEFAULT_SEED = 2024
-DEFAULT_CHIPS = 4
-DEFAULT_POOL_BLOCKS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +44,11 @@ TABLE1_METHODS = (
     "STR-MED(4)",
 )
 
+TABLE2_METHODS = ("STR-RANK(8)", "STR-RANK(6)", "STR-RANK(4)", "STR-RANK(2)")
+
+#: Table V's rows, which the ``methods`` sweep task also evaluates by default.
+TABLE5_METHODS = DEFAULT_METHODS
+
 
 def run_methods(
     pools: Sequence[LanePool], names: Sequence[str], seed: int = 1
@@ -57,27 +56,6 @@ def run_methods(
     """Evaluate methods against the random baseline on identical pools."""
     evaluator = MethodEvaluator(pools, seed=seed)
     return evaluator.result("RANDOM"), evaluator.rows(names)
-
-
-def table1_eight_directions(pools: Sequence[LanePool]) -> Tuple[MethodResult, Dict[str, MethodRow]]:
-    """Table I: the eight directions' program-latency reduction."""
-    return run_methods(pools, TABLE1_METHODS)
-
-
-def table2_window_sweep(
-    pools: Sequence[LanePool], windows: Sequence[int] = (8, 6, 4, 2)
-) -> Tuple[MethodResult, Dict[str, MethodRow]]:
-    """Table II: STR-RANK under different window sizes."""
-    names = [f"STR-RANK({w})" for w in windows]
-    return run_methods(pools, names)
-
-
-TABLE5_METHODS = ("SEQUENTIAL", "OPTIMAL(8)", "QSTR-MED(4)", "STR-MED(4)")
-
-
-def table5_extra_latency(pools: Sequence[LanePool]) -> Tuple[MethodResult, Dict[str, MethodRow]]:
-    """Table V: extra program/erase latency of the headline methods."""
-    return run_methods(pools, TABLE5_METHODS)
 
 
 # ---------------------------------------------------------------------------
@@ -96,25 +74,32 @@ class CharacterizationSeries:
 
 
 def fig5_characterization(
-    chips: Sequence[FlashChip],
-    erase_blocks: int = 400,
-    curve_blocks: Sequence[int] = (0, 1, 2, 3),
+    config: SimConfig, curve_blocks: Sequence[int] = (0, 1, 2, 3)
 ) -> CharacterizationSeries:
-    """Collect Figure 5's data: tBERS per block (top), tPROG per WL (bottom)."""
-    erase_series: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
+    """Collect Figure 5's data: tBERS per block (top), tPROG per WL (bottom).
+
+    Probes the first ``config.pool_blocks`` blocks of every plane of every
+    chip of a fresh ``build_stack(config)`` (worn to ``config.pe_cycles``
+    first when set, as :meth:`~repro.exp.Stack.pools` does), so the series
+    never depend on what probed another stack of the same config before.
+    """
+    chips = build_stack(config).chips
+    planes = range(config.geometry.planes_per_chip)
+    pools = build_lane_pools(
+        chips, range(config.pool_blocks), planes=planes, target_pe=config.pe_cycles
+    )
+    erase_series: Dict[Tuple[int, int], List[Tuple[int, float]]] = {
+        (chip.chip_id, plane): [] for chip in chips for plane in planes
+    }
     program_curves: Dict[Tuple[int, int], np.ndarray] = {}
-    for chip in chips:
-        prober = Prober(chip)
-        for plane in range(chip.geometry.planes_per_chip):
-            series: List[Tuple[int, float]] = []
-            for block in range(erase_blocks):
-                measurement = prober.try_probe_block(plane, block)
-                if measurement is None:
-                    continue
-                series.append((block, measurement.erase_latency_us))
-                if plane == 0 and block in curve_blocks:
-                    program_curves[(chip.chip_id, block)] = measurement.lwl_latencies()
-            erase_series[(chip.chip_id, plane)] = series
+    for pool in pools:
+        for measurement in pool.blocks:
+            key = (measurement.chip_id, measurement.plane)
+            erase_series[key].append((measurement.block, measurement.erase_latency_us))
+            if measurement.plane == 0 and measurement.block in curve_blocks:
+                program_curves[(measurement.chip_id, measurement.block)] = (
+                    measurement.lwl_latencies()
+                )
     return CharacterizationSeries(
         erase_by_chip_plane=erase_series, program_curves=program_curves
     )
@@ -141,8 +126,9 @@ class RandomExtraSeries:
         return float(np.mean(self.extra_erase_us))
 
 
-def fig6_random_extra(pools: Sequence[LanePool], seed: int = 1) -> RandomExtraSeries:
-    result = evaluate_assembler(RandomAssembler(seed=seed), pools)
+def fig6_random_extra(evaluator: MethodEvaluator) -> RandomExtraSeries:
+    """The evaluator's random baseline, superblock by superblock."""
+    result = evaluator.result("RANDOM")
     return RandomExtraSeries(
         extra_program_us=result.extra_program_us,
         extra_erase_us=result.extra_erase_us,
@@ -190,61 +176,10 @@ class PerSuperblockSeries:
     random: List[float]
 
 
-def fig14_per_superblock(pools: Sequence[LanePool], seed: int = 1) -> PerSuperblockSeries:
-    random_result = evaluate_assembler(RandomAssembler(seed=seed), pools)
-    str_result = evaluate_assembler(StrMedianAssembler(4), pools)
-    qstr_result = evaluate_assembler(QstrMedAssembler(4), pools)
+def fig14_per_superblock(evaluator: MethodEvaluator) -> PerSuperblockSeries:
+    """Per-superblock extra program latency of STR-MED(4), QSTR-MED(4), RANDOM."""
     return PerSuperblockSeries(
-        str_med=str_result.extra_program_us,
-        qstr_med=qstr_result.extra_program_us,
-        random=random_result.extra_program_us,
+        str_med=evaluator.result("STR-MED(4)").extra_program_us,
+        qstr_med=evaluator.result("QSTR-MED(4)").extra_program_us,
+        random=evaluator.result("RANDOM").extra_program_us,
     )
-
-
-# ---------------------------------------------------------------------------
-# Figure 15 — P/E cycle sensitivity
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PeSweepPoint:
-    """Method outcomes at one P/E epoch."""
-
-    pe: int
-    random: MethodResult
-    qstr_med: MethodResult
-    str_med: MethodResult
-    optimal: Optional[MethodResult] = None
-
-
-def fig15_pe_sweep(
-    chips: Sequence[FlashChip],
-    pe_points: Sequence[int] = tuple(range(0, 3001, 200)),
-    pool_blocks: int = DEFAULT_POOL_BLOCKS,
-    include_optimal: bool = False,
-    seed: int = 1,
-) -> List[PeSweepPoint]:
-    """Re-probe and re-assemble at increasing wear (Figure 15 / Fig 6 inset).
-
-    The same physical blocks are stress-cycled to each epoch and re-measured,
-    exactly like the paper's chamber runs.
-    """
-    points: List[PeSweepPoint] = []
-    for pe in sorted(pe_points):
-        pools = build_lane_pools(chips, range(pool_blocks), target_pe=pe)
-        random_result = evaluate_assembler(RandomAssembler(seed=seed), pools)
-        qstr_result = evaluate_assembler(QstrMedAssembler(4), pools)
-        str_result = evaluate_assembler(StrMedianAssembler(4), pools)
-        optimal_result = (
-            evaluate_assembler(OptimalAssembler(8), pools) if include_optimal else None
-        )
-        points.append(
-            PeSweepPoint(
-                pe=pe,
-                random=random_result,
-                qstr_med=qstr_result,
-                str_med=str_result,
-                optimal=optimal_result,
-            )
-        )
-    return points

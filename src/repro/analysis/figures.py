@@ -8,7 +8,7 @@ dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -51,11 +51,6 @@ def render_series_block(
             f"[min {array.min():,.1f}  mean {array.mean():,.1f}  max {array.max():,.1f}]"
         )
     return "\n".join(lines)
-
-
-def histogram_rows(histogram: Histogram) -> List[Tuple[float, int]]:
-    """The (bin center, count) rows a Figure-13-style plot uses."""
-    return histogram.series()
 
 
 def render_histogram(title: str, histogram: Histogram, width: int = 50) -> str:

@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Sequence
 
-from repro.assembly import RandomAssembler, evaluate_assembler
-from repro.core import QstrMedAssembler
-from repro.exp import SimConfig, build_stack
+from repro.exp import MethodEvaluator, SimConfig, build_stack
 from repro.nand import PAPER_GEOMETRY, NandGeometry, VariationParams
 
 
@@ -65,15 +63,13 @@ def evaluate_variant(
         geometry=geometry,
         variation=params,
     )
-    pools = build_stack(config).pools()
-    baseline = evaluate_assembler(RandomAssembler(seed=1), pools)
-    qstr = evaluate_assembler(QstrMedAssembler(4), pools)
+    qstr = MethodEvaluator(build_stack(config).pools()).row("QSTR-MED(4)")
     return SensitivityPoint(
         label=label,
-        random_extra_pgm_us=baseline.mean_extra_program_us,
-        qstr_extra_pgm_us=qstr.mean_extra_program_us,
-        qstr_improvement_pct=qstr.program_improvement_vs(baseline),
-        qstr_erase_improvement_pct=qstr.erase_improvement_vs(baseline),
+        random_extra_pgm_us=qstr.baseline.mean_extra_program_us,
+        qstr_extra_pgm_us=qstr.result.mean_extra_program_us,
+        qstr_improvement_pct=qstr.improvement_pct,
+        qstr_erase_improvement_pct=qstr.erase_improvement_pct,
     )
 
 

@@ -28,18 +28,15 @@ may change without notice.
 """
 
 from repro.analysis import (
-    DEFAULT_CHIPS,
-    DEFAULT_POOL_BLOCKS,
-    DEFAULT_SEED,
     KNOBS,
     PAPER_TABLE1,
     PAPER_TABLE2,
     PAPER_TABLE5,
     TABLE1_METHODS,
+    TABLE2_METHODS,
     TABLE5_METHODS,
     CharacterizationSeries,
     PerSuperblockSeries,
-    PeSweepPoint,
     RandomExtraSeries,
     RepairComparison,
     RepairPolicyResult,
@@ -52,8 +49,6 @@ from repro.analysis import (
     fig6_random_extra,
     fig13_distributions,
     fig14_per_superblock,
-    fig15_pe_sweep,
-    histogram_rows,
     improvement_series,
     knob_sweep,
     render_histogram,
@@ -67,9 +62,6 @@ from repro.analysis import (
     run_repair_policy,
     seed_sweep,
     sparkline,
-    table1_eight_directions,
-    table2_window_sweep,
-    table5_extra_latency,
 )
 from repro.assembly import (
     ErsLatencyAssembler,
@@ -89,10 +81,7 @@ from repro.assembly import (
 )
 from repro.characterization import (
     BlockMeasurement,
-    MeasurementSet,
-    ProbePlan,
     Prober,
-    probe_testbed,
 )
 from repro.characterization.statistics import (
     mean_lwl_curve,
@@ -291,10 +280,7 @@ DEVICE_API = (
     "VariationModel",
     "VariationParams",
     "Prober",
-    "ProbePlan",
-    "probe_testbed",
     "BlockMeasurement",
-    "MeasurementSet",
     "mean_lwl_curve",
     "variability_report",
     "residual_trend_correlation",
@@ -422,10 +408,8 @@ ASSEMBLY_API = (
 #: analysis drivers and renderers for the paper's tables and figures.
 ANALYSIS_API = (
     "run_methods",
-    "table1_eight_directions",
-    "table2_window_sweep",
-    "table5_extra_latency",
     "TABLE1_METHODS",
+    "TABLE2_METHODS",
     "TABLE5_METHODS",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
@@ -437,8 +421,6 @@ ANALYSIS_API = (
     "fig13_distributions",
     "PerSuperblockSeries",
     "fig14_per_superblock",
-    "PeSweepPoint",
-    "fig15_pe_sweep",
     "KNOBS",
     "SensitivityPoint",
     "evaluate_variant",
@@ -456,13 +438,9 @@ ANALYSIS_API = (
     "render_table5",
     "render_series_block",
     "render_histogram",
-    "histogram_rows",
     "cumulative_mean",
     "improvement_series",
     "sparkline",
-    "DEFAULT_SEED",
-    "DEFAULT_CHIPS",
-    "DEFAULT_POOL_BLOCKS",
 )
 
 #: observability: tracer, metrics registry, bench artifact export.

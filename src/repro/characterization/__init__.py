@@ -5,16 +5,12 @@ and VI-A): every number the assembly study consumes is *measured* through the
 chip API by :class:`Prober`, never read from the generative model.
 """
 
-from repro.characterization.datasets import (
-    BlockMeasurement,
-    ChipDataset,
-    MeasurementSet,
-)
+from repro.characterization.datasets import BlockMeasurement
 from repro.characterization.extra_latency import (
     extra_erase_latency,
     extra_program_latency,
 )
-from repro.characterization.prober import ProbePlan, Prober, probe_testbed
+from repro.characterization.prober import Prober
 from repro.characterization.statistics import (
     VariabilityReport,
     mean_lwl_curve,
@@ -25,13 +21,9 @@ from repro.characterization.statistics import (
 
 __all__ = [
     "BlockMeasurement",
-    "ChipDataset",
-    "MeasurementSet",
     "extra_program_latency",
     "extra_erase_latency",
-    "ProbePlan",
     "Prober",
-    "probe_testbed",
     "VariabilityReport",
     "variability_report",
     "wordline_trend_correlation",

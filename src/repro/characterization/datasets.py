@@ -1,4 +1,4 @@
-"""Measurement containers produced by the characterization prober.
+"""The measurement record produced by the characterization prober.
 
 A :class:`BlockMeasurement` is what the paper's tester records per block
 (Figure 9's latency table plus tBERS): the full per-(layer, string) tPROG
@@ -8,8 +8,8 @@ P/E count at which the measurement was taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -56,70 +56,3 @@ class BlockMeasurement:
             f"ers={self.erase_latency_us:,.1f}us)"
         )
 
-
-@dataclass
-class ChipDataset:
-    """All measurements collected from one chip (possibly several planes)."""
-
-    chip_id: int
-    measurements: List[BlockMeasurement] = field(default_factory=list)
-
-    def add(self, measurement: BlockMeasurement) -> None:
-        if measurement.chip_id != self.chip_id:
-            raise ValueError(
-                f"measurement from chip {measurement.chip_id} added to dataset "
-                f"of chip {self.chip_id}"
-            )
-        self.measurements.append(measurement)
-
-    def __len__(self) -> int:
-        return len(self.measurements)
-
-    def __iter__(self) -> Iterator[BlockMeasurement]:
-        return iter(self.measurements)
-
-    def for_plane(self, plane: int) -> List[BlockMeasurement]:
-        return [m for m in self.measurements if m.plane == plane]
-
-    def erase_series(self) -> List[Tuple[int, int, float]]:
-        """``(plane, block, tBERS)`` tuples — the Figure 5 (top) series."""
-        return [(m.plane, m.block, m.erase_latency_us) for m in self.measurements]
-
-    def program_totals(self) -> np.ndarray:
-        return np.array([m.program_total_us for m in self.measurements])
-
-
-class MeasurementSet:
-    """Measurements across many chips, indexed by (chip, plane, block)."""
-
-    def __init__(self) -> None:
-        self._by_chip: Dict[int, ChipDataset] = {}
-        self._index: Dict[Tuple[int, int, int], BlockMeasurement] = {}
-
-    def add(self, measurement: BlockMeasurement) -> None:
-        dataset = self._by_chip.setdefault(
-            measurement.chip_id, ChipDataset(measurement.chip_id)
-        )
-        dataset.add(measurement)
-        self._index[measurement.key()] = measurement
-
-    def extend(self, measurements: Iterable[BlockMeasurement]) -> None:
-        for measurement in measurements:
-            self.add(measurement)
-
-    def chip(self, chip_id: int) -> ChipDataset:
-        if chip_id not in self._by_chip:
-            raise KeyError(f"no measurements for chip {chip_id}")
-        return self._by_chip[chip_id]
-
-    def chip_ids(self) -> List[int]:
-        return sorted(self._by_chip)
-
-    def get(self, chip_id: int, plane: int, block: int) -> Optional[BlockMeasurement]:
-        return self._index.get((chip_id, plane, block))
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self) -> Iterator[BlockMeasurement]:
-        return iter(self._index.values())

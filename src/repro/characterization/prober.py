@@ -9,20 +9,11 @@ same interface an FTL uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional
 
-from repro.characterization.datasets import BlockMeasurement, MeasurementSet
+from repro.characterization.datasets import BlockMeasurement
 from repro.nand.chip import FlashChip
 from repro.nand.errors import BadBlockError
-
-
-@dataclass(frozen=True)
-class ProbePlan:
-    """What to probe: planes and a block range on each."""
-
-    planes: Sequence[int]
-    blocks: Sequence[int]
 
 
 class Prober:
@@ -73,9 +64,11 @@ class Prober:
     ) -> Optional[BlockMeasurement]:
         """Probe one block, or return None for a block that has to be skipped.
 
-        The skip rule every probing loop shares: factory-bad and retired
-        blocks are passed over, and so is a block that wears out while being
-        brought to ``target_pe`` or whose erase or program reports FAIL.
+        The skip rule of pool building
+        (:func:`repro.assembly.pools.build_lane_pools`): factory-bad and
+        retired blocks are passed over, and so is a block that wears out
+        while being brought to ``target_pe`` or whose erase or program
+        reports FAIL.
         """
         if self._chip.is_bad(plane, block):
             return None
@@ -85,26 +78,6 @@ class Prober:
             return self.probe_block(plane, block)
         except BadBlockError:
             return None
-
-    def probe_blocks(
-        self,
-        plan: ProbePlan,
-        *,
-        skip_bad: bool = True,
-    ) -> List[BlockMeasurement]:
-        """Probe a plan's worth of blocks; bad blocks are skipped (or raise)."""
-        results: List[BlockMeasurement] = []
-        for plane in plan.planes:
-            for block in plan.blocks:
-                if skip_bad:
-                    measurement = self.try_probe_block(plane, block)
-                    if measurement is not None:
-                        results.append(measurement)
-                    continue
-                if self._chip.is_bad(plane, block):
-                    raise BadBlockError(f"bad block p{plane}/b{block}")
-                results.append(self.probe_block(plane, block))
-        return results
 
     def bring_to_pe(self, plane: int, block: int, target_pe: int) -> None:
         """Stress-cycle a block up to ``target_pe`` erase cycles."""
@@ -121,25 +94,3 @@ class Prober:
         self.bring_to_pe(plane, block, target_pe)
         return self.probe_block(plane, block)
 
-
-def probe_testbed(
-    chips: Iterable[FlashChip],
-    planes: Sequence[int],
-    blocks: Sequence[int],
-    *,
-    target_pe: Optional[int] = None,
-) -> MeasurementSet:
-    """Probe the same plan on every chip; returns the combined measurement set.
-
-    Mirrors the paper's methodology of collecting the same block ranges on
-    each die of the testbed (Table IV), optionally at a given P/E epoch.
-    """
-    measurements = MeasurementSet()
-    for chip in chips:
-        prober = Prober(chip)
-        for plane in planes:
-            for block in blocks:
-                measurement = prober.try_probe_block(plane, block, target_pe)
-                if measurement is not None:
-                    measurements.add(measurement)
-    return measurements

@@ -1,4 +1,4 @@
-"""Variability statistics over measurement sets.
+"""Variability statistics over block measurements.
 
 Backs the paper's Section III observations: process *variation* across chips
 is much larger than across blocks of the same chip (the cited 6.69x
@@ -9,11 +9,11 @@ within a chip track each other closely (Figure 5, bottom).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.characterization.datasets import BlockMeasurement, MeasurementSet
+from repro.characterization.datasets import BlockMeasurement
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class VariabilityReport:
 
 
 def _per_chip_values(
-    measurements: MeasurementSet, metric: str
+    measurements: Iterable[BlockMeasurement], metric: str
 ) -> Dict[int, np.ndarray]:
     values: Dict[int, List[float]] = {}
     for m in measurements:
@@ -47,8 +47,13 @@ def _per_chip_values(
     return {chip: np.array(vals) for chip, vals in values.items()}
 
 
-def variability_report(measurements: MeasurementSet, metric: str = "program_total") -> VariabilityReport:
+def variability_report(
+    measurements: Iterable[BlockMeasurement], metric: str = "program_total"
+) -> VariabilityReport:
     """Decompose spread of a block metric into within-chip and cross-chip parts.
+
+    ``measurements`` are grouped by their ``chip_id`` (e.g. the blocks of
+    every lane pool of one probed stack).
 
     within = RMS of per-chip standard deviations;
     cross  = standard deviation of per-chip means.

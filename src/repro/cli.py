@@ -42,6 +42,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     TABLE1_METHODS,
+    TABLE2_METHODS,
+    TABLE5_METHODS,
     fig5_characterization,
     fig6_random_extra,
     fig13_distributions,
@@ -51,9 +53,6 @@ from repro.analysis import (
     render_table1,
     render_table2,
     render_table5,
-    run_methods,
-    table2_window_sweep,
-    table5_extra_latency,
 )
 from repro.analysis.figures import cumulative_mean
 from repro.core import (
@@ -62,10 +61,15 @@ from repro.core import (
     qstr_med_pair_checks,
     str_med_pair_checks,
 )
-from repro.assembly import LanePool
-from repro.exp import ALLOCATOR_KINDS, DEFAULT_CACHE_DIR, SimConfig, build_stack
+from repro.exp import (
+    ALLOCATOR_KINDS,
+    DEFAULT_CACHE_DIR,
+    MethodEvaluator,
+    SimConfig,
+    build_stack,
+)
 from repro.ftl import OutOfSpaceError
-from repro.nand import PAPER_GEOMETRY, FlashChip
+from repro.nand import PAPER_GEOMETRY
 from repro.utils.units import TIB, format_bytes
 
 
@@ -98,36 +102,34 @@ def _add_policy_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_pools(
-    args: argparse.Namespace,
-) -> Tuple[List[FlashChip], List[LanePool]]:
-    config = SimConfig.testbed(seed=args.seed, chips=args.chips, pool_blocks=args.blocks)
-    stack = build_stack(config, verbose=True)
-    return stack.chips, stack.pools()
+def _testbed(args: argparse.Namespace) -> SimConfig:
+    return SimConfig.testbed(seed=args.seed, chips=args.chips, pool_blocks=args.blocks)
+
+
+def _evaluator(config: SimConfig) -> MethodEvaluator:
+    """One evaluator over the testbed's pools, shared by every table/figure."""
+    return MethodEvaluator(build_stack(config, verbose=True).pools())
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    _, pools = _build_pools(args)
+    evaluator = _evaluator(_testbed(args))
     if args.table in ("1", "all"):
-        _, rows = run_methods(pools, TABLE1_METHODS)
         print("\nTable I — eight directions")
-        print(render_table1(rows))
+        print(render_table1(evaluator.rows(TABLE1_METHODS)))
     if args.table in ("2", "all"):
-        _, rows = table2_window_sweep(pools)
         print("\nTable II — STR-RANK window sweep")
-        print(render_table2(rows))
+        print(render_table2(evaluator.rows(TABLE2_METHODS)))
     if args.table in ("5", "all"):
-        baseline, rows = table5_extra_latency(pools)
         print("\nTable V — extra program/erase latency")
-        print(render_table5(baseline, rows))
+        print(render_table5(evaluator.result("RANDOM"), evaluator.rows(TABLE5_METHODS)))
     return 0
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    chips, pools = _build_pools(args)
+    config = _testbed(args)
     if args.figure in ("5", "all"):
         series = fig5_characterization(
-            chips[:2], erase_blocks=min(args.blocks, 200), curve_blocks=(0, 1)
+            config.with_(chips=2, pool_blocks=min(args.blocks, 200)), curve_blocks=(0, 1)
         )
         erase = {
             f"chip{c} plane{p}": [v for _, v in vals]
@@ -142,8 +144,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
         }
         print("\nFigure 5 (bottom) — tPROG per word-line")
         print(render_series_block("", curves))
+    if args.figure == "5":
+        return 0  # Figure 5 probes its own fresh stack, not the pools
+    evaluator = _evaluator(config)
     if args.figure in ("6", "all"):
-        series = fig6_random_extra(pools)
+        series = fig6_random_extra(evaluator)
         print("\nFigure 6 — random-assembly extra latency per superblock")
         print(
             render_series_block(
@@ -155,13 +160,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
             )
         )
     if args.figure in ("13", "all"):
-        baseline, rows = run_methods(pools, ["QSTR-MED(4)"])
-        hists = fig13_distributions(rows, baseline, bins=16)
+        hists = fig13_distributions(
+            evaluator.rows(["QSTR-MED(4)"]), evaluator.result("RANDOM"), bins=16
+        )
         print("\nFigure 13 — extra PGM latency distributions")
         for name, hist in hists.items():
             print(render_histogram(name, hist, width=32))
     if args.figure in ("14", "all"):
-        series = fig14_per_superblock(pools)
+        series = fig14_per_superblock(evaluator)
         print("\nFigure 14 — running-mean extra PGM latency")
         print(
             render_series_block(
@@ -447,9 +453,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             allocator=args.allocator,
         )
     else:
-        base = SimConfig.testbed(
-            seed=args.seed, chips=args.chips, pool_blocks=args.blocks
-        )
+        base = _testbed(args)
     base = _apply_fault_args(base, args)
     if args.fleet is not None:
         from repro.fleet import FleetConfig

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.catalog import BlockCatalog
-from repro.core.records import BlockRecord
+from repro.core.records import BlockRecord, closest_candidate
 
 
 class SpeedClass(Enum):
@@ -85,7 +85,7 @@ class OnDemandAssembler:
             raise ValueError("candidate_depth must be >= 1")
         self._catalogs: Dict[int, BlockCatalog] = {c.lane: c for c in catalogs}
         self.candidate_depth = candidate_depth
-        #: pluggable member choice; None keeps the inline eigen pair check
+        #: pluggable member choice; None runs the eigen pair check itself
         self.chooser = chooser
         #: cumulative eigen pair checks (the scheme's computing-overhead metric)
         self.total_pair_checks = 0
@@ -140,17 +140,9 @@ class OnDemandAssembler:
                 best_record = self.chooser.choose_member(
                     speed_class, reference, tuple(candidates)
                 )
-                pair_checks += len(candidates)
             else:
-                best_record = None
-                best_distance = None
-                for candidate in candidates:
-                    distance = reference.distance_to(candidate)
-                    pair_checks += 1
-                    if best_distance is None or distance < best_distance:
-                        best_distance = distance
-                        best_record = candidate
-            assert best_record is not None
+                best_record = closest_candidate(reference, candidates)
+            pair_checks += len(candidates)
             members.append(best_record)
         for record in members:
             self._catalogs[record.lane].remove(record)

@@ -10,7 +10,7 @@ is the storage cost Equation 2 charges per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.utils.bitvec import BitVector
 
@@ -45,3 +45,17 @@ class BlockRecord:
             f"BlockRecord(lane{self.lane}/p{self.plane}/b{self.block}, "
             f"pgm={self.pgm_total_us:,.1f}us)"
         )
+
+
+def closest_candidate(
+    reference: BlockRecord, candidates: Sequence[BlockRecord]
+) -> BlockRecord:
+    """The candidate whose eigen sequence is closest to ``reference``'s.
+
+    This is QSTR-MED's pair check: one XOR-popcount per candidate.  The
+    first of equally close candidates wins, so the caller's candidate
+    order (catalog order) breaks ties.
+    """
+    if not candidates:
+        raise ValueError("no candidates to pair with the reference block")
+    return min(candidates, key=reference.distance_to)

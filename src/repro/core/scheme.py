@@ -230,14 +230,11 @@ class QstrMedAssembler(Assembler):
             raise ValueError(
                 f"demand supplies {len(self._demand)} classes for {count} superblocks"
             )
-        geometry_checked = False
         catalogs: List[BlockCatalog] = []
         by_key: Dict[Tuple[int, int, int], BlockMeasurement] = {}
         for pool in pools:
             catalog = BlockCatalog(pool.lane)
             for measurement in pool.blocks:
-                if not geometry_checked:
-                    geometry_checked = True
                 unit = GatheringUnit(_measurement_geometry(measurement))
                 record = unit.gather_measurement(
                     pool.lane,

@@ -136,12 +136,6 @@ class WearLeveler:
         self.rotations_triggered += 1
         return victim
 
-    def coldest_superblock(
-        self, candidates: Iterable[Tuple[int, Sequence[Tuple[int, int, int]]]]
-    ) -> Optional[int]:
-        """Backward-compatible form of :meth:`nominate` (default policy)."""
-        return self.nominate(candidates)
-
 
 def _default_wear_policy() -> WearPolicy:
     """A fresh static ``wear.coldest`` instance (stateless, draws nothing)."""

@@ -23,11 +23,11 @@ across the sweep's process pool.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Tuple
 
 from repro.core.assembler import SpeedClass
 from repro.core.placement import WriteSource
-from repro.core.records import BlockRecord
+from repro.core.records import BlockRecord, closest_candidate
 from repro.policy.base import (
     AllocationContext,
     AllocationDecision,
@@ -90,16 +90,7 @@ class LatencyPredictorPolicy(AssemblyPolicy):
     def choose(self, context: AssemblyContext) -> BlockRecord:
         if self.observations < self.warmup:
             # cold start: fall back to the paper's eigen pair check
-            best: Optional[BlockRecord] = None
-            best_distance: Optional[int] = None
-            for candidate in context.candidates:
-                distance = context.reference.distance_to(candidate)
-                if best_distance is None or distance < best_distance:
-                    best_distance = distance
-                    best = candidate
-            if best is None:
-                raise ValueError("assembly.predictor got no candidates")
-            return best
+            return closest_candidate(context.reference, context.candidates)
         reference_estimate = self.estimate(context.reference)
 
         def score(record: BlockRecord) -> Tuple[float, int, Tuple[int, int, int]]:

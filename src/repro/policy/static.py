@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.assembler import SpeedClass
 from repro.core.placement import WriteSource
-from repro.core.records import BlockRecord
+from repro.core.records import BlockRecord, closest_candidate
 from repro.policy.base import (
     AllocationContext,
     AllocationDecision,
@@ -72,21 +72,13 @@ def choose_similar(
 class QstrAssemblyPolicy(AssemblyPolicy):
     """The paper's pair check: popcount(XOR) against the reference block.
 
-    First-best-wins over candidates in catalog order, matching the original
-    inline loop in :class:`repro.core.assembler.OnDemandAssembler`.
+    First-best-wins over candidates in catalog order, the same
+    :func:`repro.core.records.closest_candidate` that
+    :class:`repro.core.assembler.OnDemandAssembler` runs without a chooser.
     """
 
     def choose(self, context: AssemblyContext) -> BlockRecord:
-        best_record: Optional[BlockRecord] = None
-        best_distance: Optional[int] = None
-        for candidate in context.candidates:
-            distance = context.reference.distance_to(candidate)
-            if best_distance is None or distance < best_distance:
-                best_distance = distance
-                best_record = candidate
-        if best_record is None:
-            raise ValueError("assembly.qstr got no candidates")
-        return best_record
+        return closest_candidate(context.reference, context.candidates)
 
 
 @register_policy(

@@ -11,11 +11,6 @@ from repro.workloads.synthetic import (
     uniform_random_writes,
     zipf_writes,
 )
-from repro.workloads.convert import (
-    convert_msr_line,
-    convert_msr_trace,
-    iter_msr_trace,
-)
 from repro.workloads.trace import (
     TraceFormatError,
     iter_trace,
@@ -37,9 +32,6 @@ __all__ = [
     "mixed_read_write",
     "hot_cold_writes",
     "small_large_mix",
-    "convert_msr_line",
-    "convert_msr_trace",
-    "iter_msr_trace",
     "TraceFormatError",
     "iter_trace",
     "load_trace",

@@ -42,11 +42,9 @@ EXPECTED_EXPORTS = frozenset(
         "FlashChip",
         "Ftl",
         "FtlConfig",
-        "MeasurementSet",
         "NandGeometry",
         "PAPER_GEOMETRY",
         "PageType",
-        "ProbePlan",
         "Prober",
         "SMALL_GEOMETRY",
         "Ssd",
@@ -57,7 +55,6 @@ EXPECTED_EXPORTS = frozenset(
         "WearLevelingConfig",
         "WriteStream",
         "mean_lwl_curve",
-        "probe_testbed",
         "residual_trend_correlation",
         "variability_report",
         # -- vector kernels (repro.kernels) --
@@ -154,20 +151,17 @@ EXPECTED_EXPORTS = frozenset(
         "str_med_pair_checks",
         # -- analysis drivers + renderers --
         "CharacterizationSeries",
-        "DEFAULT_CHIPS",
-        "DEFAULT_POOL_BLOCKS",
-        "DEFAULT_SEED",
         "KNOBS",
         "PAPER_TABLE1",
         "PAPER_TABLE2",
         "PAPER_TABLE5",
-        "PeSweepPoint",
         "PerSuperblockSeries",
         "RandomExtraSeries",
         "RepairComparison",
         "RepairPolicyResult",
         "SensitivityPoint",
         "TABLE1_METHODS",
+        "TABLE2_METHODS",
         "TABLE5_METHODS",
         "compare_repair_policies",
         "cumulative_mean",
@@ -175,10 +169,8 @@ EXPECTED_EXPORTS = frozenset(
         "evaluate_variant",
         "fig13_distributions",
         "fig14_per_superblock",
-        "fig15_pe_sweep",
         "fig5_characterization",
         "fig6_random_extra",
-        "histogram_rows",
         "improvement_series",
         "knob_sweep",
         "render_histogram",
@@ -192,9 +184,6 @@ EXPECTED_EXPORTS = frozenset(
         "run_repair_policy",
         "seed_sweep",
         "sparkline",
-        "table1_eight_directions",
-        "table2_window_sweep",
-        "table5_extra_latency",
         # -- observability --
         "LatencyHistogram",
         "MetricsRegistry",

@@ -1,16 +1,13 @@
-"""Characterization harness tests: datasets, prober, statistics."""
+"""Characterization harness tests: measurements, prober, statistics."""
 
 import numpy as np
 import pytest
 
+from repro.assembly import build_lane_pools
 from repro.characterization import (
     BlockMeasurement,
-    ChipDataset,
-    MeasurementSet,
-    ProbePlan,
     Prober,
     mean_lwl_curve,
-    probe_testbed,
     residual_trend_correlation,
     variability_report,
     wordline_trend_correlation,
@@ -54,32 +51,6 @@ class TestBlockMeasurement:
         assert "c2/p1/b7" in repr(m)
 
 
-class TestDatasets:
-    def test_chip_dataset_guards_chip_id(self):
-        dataset = ChipDataset(chip_id=1)
-        with pytest.raises(ValueError):
-            dataset.add(make_measurement(chip_id=0))
-
-    def test_measurement_set_index(self):
-        ms = MeasurementSet()
-        ms.add(make_measurement(chip_id=0, block=1))
-        ms.add(make_measurement(chip_id=1, block=2))
-        assert len(ms) == 2
-        assert ms.chip_ids() == [0, 1]
-        assert ms.get(0, 0, 1) is not None
-        assert ms.get(0, 0, 9) is None
-        with pytest.raises(KeyError):
-            ms.chip(5)
-
-    def test_erase_series_and_totals(self):
-        dataset = ChipDataset(chip_id=0)
-        dataset.add(make_measurement(block=3, ers=50.0))
-        assert dataset.erase_series() == [(0, 3, 50.0)]
-        assert dataset.program_totals().shape == (1,)
-        assert dataset.for_plane(0)[0].block == 3
-        assert dataset.for_plane(1) == []
-
-
 class TestProber:
     @pytest.fixture()
     def chip(self, small_model):
@@ -98,14 +69,15 @@ class TestProber:
         prober.probe_block(0, 1)
         assert chip.is_fully_programmed(0, 1)
 
-    def test_probe_plan_skips_bad(self):
+    def test_try_probe_block_skips_bad(self):
         params = VariationParams(factory_bad_ratio=0.5)
         model = VariationModel(SMALL_GEOMETRY, params, seed=9)
         chip = FlashChip(model.chip_profile(0), SMALL_GEOMETRY)
         prober = Prober(chip)
-        results = prober.probe_blocks(ProbePlan(planes=[0], blocks=range(10)))
-        assert all(not chip.is_bad(0, m.block) for m in results)
-        assert len(results) < 10
+        bad = [block for block in range(10) if chip.is_bad(0, block)]
+        results = [prober.try_probe_block(0, block) for block in range(10)]
+        assert bad
+        assert [block for block, m in enumerate(results) if m is None] == bad
 
     def test_bring_to_pe(self, chip):
         prober = Prober(chip)
@@ -119,37 +91,49 @@ class TestProber:
         m = prober.probe_block_at_pe(0, 3, 100)
         assert m.pe_cycles == 101
 
-    def test_probe_testbed(self, small_model):
+    def test_lane_pools_probe_every_listed_plane(self, small_model):
+        # the one probe loop: one lane per chip, plane-major, bad blocks skipped
         chips = make_chips(small_model, 2)
-        ms = probe_testbed(chips, planes=[0], blocks=range(4))
-        assert len(ms) <= 8
-        assert set(ms.chip_ids()) <= {0, 1}
+        pools = build_lane_pools(chips, range(4), planes=(0, 1))
+        for lane, (chip, pool) in enumerate(zip(chips, pools)):
+            assert pool.lane == lane
+            assert {m.chip_id for m in pool.blocks} == {chip.chip_id}
+            assert [(m.plane, m.block) for m in pool.blocks] == [
+                (plane, block)
+                for plane in (0, 1)
+                for block in range(4)
+                if not chip.is_bad(plane, block)
+            ]
 
 
 class TestStatistics:
     def test_variability_report(self, small_pools):
-        ms = MeasurementSet()
-        for pool in small_pools:
-            for m in pool.blocks:
-                # pools reuse chips 0..3 as lanes; measurement chip ids match
-                ms.add(m)
-        report = variability_report(ms, "program_total")
+        # pools reuse chips 0..3 as lanes; measurement chip ids match
+        measurements = [m for pool in small_pools for m in pool.blocks]
+        report = variability_report(measurements, "program_total")
         assert report.within_chip_std > 0
         assert report.cross_chip_std > 0
         assert report.cross_to_within_ratio > 0
 
+    def test_variability_report_groups_by_chip_id(self, small_pools):
+        # blocks interleaved across chips, from a generator, group exactly
+        # as they do pool by pool
+        depth = min(len(pool) for pool in small_pools)
+        columns = [pool.blocks[:depth] for pool in small_pools]
+        by_pool = [m for blocks in columns for m in blocks]
+        interleaved = (m for row in zip(*columns) for m in row)
+        assert variability_report(interleaved, "erase") == variability_report(
+            by_pool, "erase"
+        )
+
     def test_variability_requires_two_chips(self):
-        ms = MeasurementSet()
-        ms.add(make_measurement(chip_id=0))
         with pytest.raises(ValueError):
-            variability_report(ms)
+            variability_report([make_measurement(chip_id=0)])
 
     def test_unknown_metric(self):
-        ms = MeasurementSet()
-        ms.add(make_measurement(chip_id=0))
-        ms.add(make_measurement(chip_id=1))
+        measurements = [make_measurement(chip_id=0), make_measurement(chip_id=1)]
         with pytest.raises(ValueError):
-            variability_report(ms, "bogus")
+            variability_report(measurements, "bogus")
 
     def test_trend_correlation_same_block(self, small_pools):
         m = small_pools[0].blocks[0]

@@ -45,6 +45,13 @@ class TestCommands:
         assert "Figure 6" in out
         assert "extra PGM" in out
 
+    def test_figure5_alone_probes_only_its_own_stack(self, capsys):
+        assert main(["figures", "--figure", "5", "--blocks", "4", "--seed", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "Figure 5 (top)" in captured.out and "chip1 blk1" in captured.out
+        assert "Figure 6" not in captured.out
+        assert "probing" not in captured.err  # the evaluator's pools are never built
+
     def test_replay_synthetic(self, capsys):
         assert (
             main(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.assembler import AssemblyError, OnDemandAssembler, SpeedClass
 from repro.core.catalog import BlockCatalog
-from repro.core.records import BlockRecord
+from repro.core.records import BlockRecord, closest_candidate
 from repro.utils.bitvec import BitVector
 
 
@@ -129,3 +129,42 @@ class TestExhaustion:
                 assert key not in seen
                 seen.add(key)
         assert len(seen) == 9
+
+
+class TestClosestCandidate:
+    """The eigen pair check every QSTR-MED chooser shares."""
+
+    def test_picks_least_xor_distance(self):
+        reference = record(0, 0, 100, [1, 1, 0, 0])
+        candidates = [
+            record(1, 0, 200, [0, 0, 1, 1]),  # distance 4
+            record(1, 1, 210, [1, 0, 0, 0]),  # distance 1
+            record(1, 2, 220, [1, 0, 1, 0]),  # distance 2
+        ]
+        assert closest_candidate(reference, candidates) is candidates[1]
+
+    def test_first_of_equally_close_wins(self):
+        # catalog order breaks ties, so the faster block is kept
+        reference = record(0, 0, 100, [1, 1, 0, 0])
+        candidates = [
+            record(1, 0, 200, [0, 0, 1, 1]),
+            record(1, 1, 210, [1, 0, 0, 0]),
+            record(1, 2, 220, [0, 1, 0, 0]),
+        ]
+        assert closest_candidate(reference, candidates) is candidates[1]
+        assert closest_candidate(reference, candidates[::-1]) is candidates[2]
+
+    def test_no_candidates_raises(self):
+        with pytest.raises(ValueError, match="no candidates"):
+            closest_candidate(record(0, 0, 100, [1, 0]), [])
+
+    def test_assembler_runs_it_for_every_other_lane(self):
+        catalogs = build_catalogs()
+        reference = catalogs[0].fastest()
+        expected = {
+            lane: closest_candidate(reference, catalogs[lane].head_candidates(4))
+            for lane in (1, 2)
+        }
+        choice = OnDemandAssembler(catalogs, candidate_depth=4).assemble(SpeedClass.FAST)
+        for lane, member in expected.items():
+            assert choice.member_for_lane(lane) is member

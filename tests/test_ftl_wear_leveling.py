@@ -63,12 +63,12 @@ class TestWearLeveler:
         leveler = self.make(chips)
         hot_sb = (1, [(0, 0, 0), (1, 0, 0)])
         cold_sb = (2, [(0, 0, 1), (1, 0, 1)])
-        assert leveler.coldest_superblock([hot_sb, cold_sb]) == 2
+        assert leveler.nominate([hot_sb, cold_sb]) == 2
         assert leveler.rotations_triggered == 1
 
     def test_no_candidates(self):
         leveler = self.make(make_chips())
-        assert leveler.coldest_superblock([]) is None
+        assert leveler.nominate([]) is None
 
     def test_skips_rotation_when_coldest_is_hot(self):
         # if every sealed SB is hotter than the average, rotating gains nothing
@@ -77,7 +77,7 @@ class TestWearLeveler:
         chips[1].stress_block(0, 0, 100)
         leveler = self.make(chips)
         hot_only = [(1, [(0, 0, 0), (1, 0, 0)])]
-        assert leveler.coldest_superblock(hot_only) is None
+        assert leveler.nominate(hot_only) is None
 
 
 class TestFtlIntegration:

@@ -14,12 +14,16 @@ import pickle
 import pytest
 
 from repro.core import SpeedClass, WriteIntent, WriteSource
+from repro.core.assembler import OnDemandAssembler
+from repro.core.catalog import BlockCatalog
+from repro.core.records import BlockRecord
 from repro.exp import SimConfig, Sweep, run
 from repro.policy import (
     DEFAULT_SPECS,
     POLICY_POINTS,
     AllocationContext,
     AllocationPolicy,
+    AssemblyContext,
     BanditAllocationPolicy,
     GcVictimPolicy,
     LatencyPredictorPolicy,
@@ -31,6 +35,7 @@ from repro.policy import (
     register_policy,
     resolve_policies,
 )
+from repro.utils.bitvec import BitVector
 
 
 # ---------------------------------------------------------------- PolicySpec
@@ -145,6 +150,66 @@ class TestRegistry:
 
 
 # ------------------------------------------------------------------ pickling
+
+
+# ------------------------------------------------------- eigen pair check
+
+
+def _record(lane: int, block: int, pgm: float, bits) -> BlockRecord:
+    return BlockRecord(lane, 0, block, pgm, BitVector(bits))
+
+
+def _assembly_context(candidates) -> AssemblyContext:
+    return AssemblyContext(
+        speed_class=SpeedClass.FAST,
+        reference=_record(0, 0, 100.0, [1, 1, 0, 0]),
+        candidates=tuple(candidates),
+        lane=1,
+    )
+
+
+#: the static pair check and the predictor before its warmup is reached
+PAIR_CHECK_SPECS = ("assembly.qstr", "assembly.predictor")
+
+
+class TestEigenPairCheck:
+    @pytest.mark.parametrize("name", PAIR_CHECK_SPECS)
+    def test_picks_the_first_closest_candidate(self, name):
+        policy = make_policy(PolicySpec(name), seed=3)
+        candidates = [
+            _record(1, 0, 200.0, [0, 0, 1, 1]),
+            _record(1, 1, 210.0, [1, 0, 0, 0]),
+            _record(1, 2, 220.0, [0, 1, 0, 0]),
+        ]
+        assert policy.choose(_assembly_context(candidates)) is candidates[1]
+
+    @pytest.mark.parametrize("name", PAIR_CHECK_SPECS)
+    def test_rejects_an_empty_candidate_slice(self, name):
+        policy = make_policy(PolicySpec(name), seed=3)
+        with pytest.raises(ValueError, match="no candidates"):
+            policy.choose(_assembly_context(()))
+
+    def test_qstr_chooser_assembles_like_the_assembler_alone(self):
+        def catalogs():
+            out = [BlockCatalog(lane) for lane in range(3)]
+            eigens = ([1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0])
+            for lane, catalog in enumerate(out):
+                for block in range(6):
+                    bits = eigens[(block * (lane + 1)) % len(eigens)]
+                    catalog.add(_record(lane, block, 100.0 + 7 * block + lane, bits))
+            return out
+
+        def drain(chooser):
+            assembler = OnDemandAssembler(catalogs(), candidate_depth=3, chooser=chooser)
+            keys = []
+            for index in range(6):
+                speed = SpeedClass.FAST if index % 2 == 0 else SpeedClass.SLOW
+                choice = assembler.assemble(speed)
+                keys.append(tuple(member.key() for member in choice.members))
+            return keys, assembler.total_pair_checks
+
+        policy = make_policy(PolicySpec("assembly.qstr"), seed=3)
+        assert drain(policy) == drain(None)
 
 
 def _bandit_context(pages: int = 1) -> AllocationContext:

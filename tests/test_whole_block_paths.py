@@ -485,8 +485,8 @@ def test_faulted_probing_is_deterministic():
     assert snapshot() == snapshot()
 
 
-def test_probe_blocks_raises_on_a_failed_block_only_without_skip():
-    from repro.characterization import ProbePlan, Prober
+def test_probe_block_raises_on_a_failed_block_and_try_probe_block_skips_it():
+    from repro.characterization import Prober
 
     def prober():
         model = VariationModel(SMALL_GEOMETRY, VariationParams(factory_bad_ratio=0.0), seed=5)
@@ -497,11 +497,14 @@ def test_probe_blocks_raises_on_a_failed_block_only_without_skip():
             FlashChip(model.chip_profile(0), SMALL_GEOMETRY, injector=FaultInjector(plan, 5, 0))
         )
 
-    plan = ProbePlan(planes=(0,), blocks=range(4))
-    skipped = prober().probe_blocks(plan)
-    assert [m.block for m in skipped] == [0, 1, 3]
+    skipping = prober()
+    probed = [skipping.try_probe_block(0, block) for block in range(4)]
+    assert [m.block for m in probed if m is not None] == [0, 1, 3]
+    assert probed[2] is None
+    raising = prober()
+    assert [raising.probe_block(0, block).block for block in range(2)] == [0, 1]
     with pytest.raises(BadBlockError, match="p0/b2"):
-        prober().probe_blocks(plan, skip_bad=False)
+        raising.probe_block(0, 2)
 
 
 def test_faulted_sweep_cell_completes(capsys):

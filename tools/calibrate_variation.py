@@ -14,39 +14,26 @@ import argparse
 import time
 
 from repro.api import (
-    build_lane_pools,
-    ErsLatencyAssembler,
-    evaluate_assembler,
-    FlashChip,
-    LwlRankAssembler,
-    OptimalAssembler,
-    PAPER_GEOMETRY,
-    PgmLatencyAssembler,
-    PwlRankAssembler,
-    RandomAssembler,
-    SequentialAssembler,
-    StrMedianAssembler,
-    StrRankAssembler,
-    VariationModel,
-    VariationParams,
+    build_stack,
+    MethodEvaluator,
+    PAPER_TABLE1,
+    PAPER_TABLE2,
+    PAPER_TABLE5,
+    SimConfig,
 )
 
-PAPER_IMPROVEMENT = {
-    "sequential": 10.45,
-    "ers_ltn": 8.55,
-    "pgm_ltn": 10.37,
-    "optimal(8)": 19.49,
-    "lwl_rank(8)": 14.11,
-    "pwl_rank(8)": 15.57,
-    "str_rank(8)": 18.27,
-    "str_rank(6)": 18.05,
-    "str_rank(4)": 17.42,
-    "str_rank(2)": 15.02,
-    "str_med(4)": 16.74,
-}
-PAPER_RANDOM_PGM = 13084.17
-PAPER_RANDOM_ERS = 41.71
-PAPER_ERS = {"optimal(8)": 22.65, "str_med(4)": 24.97, "sequential": 40.12}
+#: printed in this order; ``--fast`` leaves out the three slow searches.
+METHODS = (
+    "SEQUENTIAL",
+    "ERS-LTN",
+    "PGM-LTN",
+    "STR-RANK(8)",
+    "STR-RANK(6)",
+    "STR-RANK(4)",
+    "STR-RANK(2)",
+    "STR-MED(4)",
+)
+SLOW_METHODS = ("OPTIMAL(8)", "LWL-RANK(8)", "PWL-RANK(8)")
 
 
 def main() -> None:
@@ -57,45 +44,30 @@ def main() -> None:
     parser.add_argument("--fast", action="store_true", help="skip optimal/lwl/pwl")
     args = parser.parse_args()
 
-    model = VariationModel(PAPER_GEOMETRY, VariationParams(), seed=args.seed)
-    chips = [FlashChip(model.chip_profile(c), PAPER_GEOMETRY) for c in range(args.chips)]
-
+    config = SimConfig.testbed(seed=args.seed, chips=args.chips, pool_blocks=args.blocks)
     t0 = time.time()
-    pools = build_lane_pools(chips, range(args.blocks))
+    pools = build_stack(config).pools()
     print(f"probed {sum(len(p) for p in pools)} blocks in {time.time()-t0:.1f}s")
 
-    methods = [
-        RandomAssembler(seed=1),
-        SequentialAssembler(),
-        ErsLatencyAssembler(),
-        PgmLatencyAssembler(),
-        StrRankAssembler(8),
-        StrRankAssembler(6),
-        StrRankAssembler(4),
-        StrRankAssembler(2),
-        StrMedianAssembler(4),
-    ]
-    if not args.fast:
-        methods += [OptimalAssembler(8), LwlRankAssembler(8), PwlRankAssembler(8)]
-
-    baseline = evaluate_assembler(methods[0], pools)
+    evaluator = MethodEvaluator(pools)
+    baseline = evaluator.result("RANDOM")
+    paper_random = PAPER_TABLE5["RANDOM"]
+    paper = {**PAPER_TABLE2, **PAPER_TABLE1}
     print(
         f"\n{'method':<14} {'PGM us':>10} {'ERS us':>8} {'imp%':>7} {'paper%':>7}"
-        f"   (random PGM paper {PAPER_RANDOM_PGM:,.0f}, ERS {PAPER_RANDOM_ERS})"
+        f"   (random PGM paper {paper_random[0]:,.0f}, ERS {paper_random[1]})"
     )
     print(
         f"{'random':<14} {baseline.mean_extra_program_us:>10,.1f} "
         f"{baseline.mean_extra_erase_us:>8,.2f} {'-':>7} {'-':>7}"
     )
-    for method in methods[1:]:
+    for name in METHODS if args.fast else METHODS + SLOW_METHODS:
         t0 = time.time()
-        result = evaluate_assembler(method, pools)
-        imp = result.program_improvement_vs(baseline)
-        paper = PAPER_IMPROVEMENT.get(method.name, float("nan"))
+        row = evaluator.row(name)
         print(
-            f"{method.name:<14} {result.mean_extra_program_us:>10,.1f} "
-            f"{result.mean_extra_erase_us:>8,.2f} {imp:>7.2f} {paper:>7.2f}"
-            f"   [{time.time()-t0:.1f}s]"
+            f"{row.result.name:<14} {row.result.mean_extra_program_us:>10,.1f} "
+            f"{row.result.mean_extra_erase_us:>8,.2f} {row.improvement_pct:>7.2f} "
+            f"{paper[name][1]:>7.2f}   [{time.time()-t0:.1f}s]"
         )
 
 
