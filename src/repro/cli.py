@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import (
     TABLE1_METHODS,
@@ -302,7 +303,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.obs import (
         MetricsRegistry,
@@ -439,7 +439,6 @@ def _parse_axes(specs: Sequence[str]) -> List[Tuple[str, List[object]]]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.exp import ResultCache, Sweep, SweepProgress, default_cache_dir
     from repro.exp import run as run_sweep
@@ -550,7 +549,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     import hashlib
     import json
-    from pathlib import Path
 
     from repro.exp.build import build_fleet
     from repro.fleet import FleetConfig
@@ -652,6 +650,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 "ejections",
                 "media_faults",
                 "device_errors",
+                "unmapped_reads",
             )
         )
     )
@@ -679,7 +678,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     import json
     import math
-    from pathlib import Path
 
     from repro.perf import (
         FULL,
@@ -804,30 +802,45 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 _DEFAULT_LINT_PATHS = ("src", "benchmarks", "examples", "tools")
 
 
-def _changed_files(root: "Path") -> Optional[set]:
-    """Repo-relative paths changed vs HEAD (worktree, index, untracked)."""
+def _changed_files(cwd: Path) -> Optional[Set[Path]]:
+    """Resolved paths changed vs HEAD (worktree, index, untracked).
+
+    Every git command runs from the repository top, so each name it prints
+    is relative to that top, whichever subdirectory ``repro lint`` runs in.
+    """
     import subprocess
 
-    names: set = set()
-    commands = (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "diff", "--name-only", "--cached"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    for command in commands:
+    def git(*command: str, where: Path) -> Optional[List[str]]:
         try:
             proc = subprocess.run(
-                command, cwd=root, capture_output=True, text=True, check=True
+                ["git", *command],
+                cwd=where,
+                capture_output=True,
+                text=True,
+                check=True,
             )
         except (OSError, subprocess.CalledProcessError):
             return None
-        names.update(line.strip() for line in proc.stdout.splitlines() if line.strip())
+        return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
+
+    top = git("rev-parse", "--show-toplevel", where=cwd)
+    if not top:
+        return None
+    root = Path(top[0])
+    names: Set[Path] = set()
+    for command in (
+        ("diff", "--name-only", "HEAD"),
+        ("diff", "--name-only", "--cached"),
+        ("ls-files", "--others", "--exclude-standard"),
+    ):
+        listed = git(*command, where=root)
+        if listed is None:
+            return None
+        names.update((root / name).resolve() for name in listed)
     return names
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.lint import lint_paths, render_json, render_text
 
     if args.paths:
@@ -845,43 +858,18 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print("repro lint: no lintable paths found in cwd", file=sys.stderr)
             return 2
     root = Path.cwd()
-    deep = args.deep or args.write_baseline
-    findings = lint_paths(paths)
-    grandfathered_count = 0
-    if deep:
-        from repro.lint.baseline import DEFAULT_BASELINE, Baseline
-        from repro.lint.deep import run_deep
-
-        deep_findings = run_deep([Path(p) for p in paths], root=root)
-        baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-        if args.write_baseline:
-            Baseline.from_findings(deep_findings).save(baseline_path)
-            print(
-                f"repro lint: wrote {len(deep_findings)} finding(s) to baseline "
-                f"{baseline_path}; add justifications before committing"
-            )
-            return 0
-        baseline = Baseline.load(baseline_path)
-        fresh, grandfathered = baseline.split(deep_findings)
-        grandfathered_count = len(grandfathered)
-        findings = sorted(findings + fresh)
-
+    findings = lint_paths(paths, root=root)
     if args.changed:
         changed = _changed_files(root)
         if changed is None:
             print("repro lint: --changed needs a git checkout", file=sys.stderr)
             return 2
-        findings = [f for f in findings if f.path in changed]
+        findings = [f for f in findings if (root / f.path).resolve() in changed]
 
     if args.format == "json":
         print(render_json(findings))
     else:
         print(render_text(findings))
-        if deep and grandfathered_count:
-            print(
-                f"({grandfathered_count} grandfathered finding(s) suppressed by "
-                f"the baseline)"
-            )
     return 1 if findings else 0
 
 
@@ -1164,22 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files/directories to lint (default: src benchmarks examples tools)",
     )
     lint.add_argument("--format", choices=["text", "json"], default="text")
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program analyses (call graph + dataflow: "
-        "RNG010-012, DET010-012, PROC001-003)",
-    )
-    lint.add_argument(
-        "--baseline",
-        help="baseline JSON grandfathering deep findings "
-        "(default: tools/reprolint_baseline.json)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current deep findings into the baseline file and exit",
-    )
     lint.add_argument(
         "--changed",
         action="store_true",

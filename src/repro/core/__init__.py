@@ -29,11 +29,10 @@ from repro.core.overhead import (
     str_med_pair_checks,
 )
 from repro.core.placement import (
-    DEFAULT_POLICY,
-    UNIFORM_POLICY,
-    PlacementPolicy,
     WriteIntent,
     WriteSource,
+    prefers_fast_superpage,
+    speed_class_for,
 )
 from repro.core.records import PGM_LATENCY_BYTES, BlockRecord
 from repro.core.superpage import SuperpagePredictor
@@ -57,11 +56,10 @@ __all__ = [
     "str_med_pair_checks",
     "qstr_med_pair_checks",
     "overhead_reduction_pct",
-    "PlacementPolicy",
     "WriteIntent",
     "WriteSource",
-    "DEFAULT_POLICY",
-    "UNIFORM_POLICY",
+    "speed_class_for",
+    "prefers_fast_superpage",
     "BlockRecord",
     "PGM_LATENCY_BYTES",
     "SuperpagePredictor",

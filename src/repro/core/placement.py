@@ -33,47 +33,31 @@ class WriteIntent:
     sequential: bool = False
 
 
-@dataclass(frozen=True)
-class PlacementPolicy:
-    """Maps a write's origin to the superblock speed class it should use.
+#: host writes of at most this many pages count as small random writes
+SMALL_WRITE_PAGE_LIMIT = 8
 
-    ``small_write_page_limit`` only matters when ``classify_superpage`` is
-    consulted (the optional in-superblock steering the paper sketches).
+
+def speed_class_for(intent: WriteIntent) -> SpeedClass:
+    """Speed class of the superblock this write should go to.
+
+    Host writes sit on the latency-critical path and go to fast
+    superblocks; GC relocations and metadata writes happen in the
+    background and go to slow ones.
     """
-
-    host_class: SpeedClass = SpeedClass.FAST
-    gc_class: SpeedClass = SpeedClass.SLOW
-    metadata_class: SpeedClass = SpeedClass.SLOW
-    small_write_page_limit: int = 8
-
-    def classify(self, intent: WriteIntent) -> SpeedClass:
-        """Speed class of the superblock this write should go to."""
-        if intent.source is WriteSource.HOST:
-            return self.host_class
-        if intent.source is WriteSource.GC:
-            return self.gc_class
-        return self.metadata_class
-
-    def prefers_fast_superpage(self, intent: WriteIntent) -> bool:
-        """In-superblock steering: small random host writes first.
-
-        The paper's optional refinement — small random data goes to the
-        high-speed superpages of a fast superblock, large batch data to its
-        slower superpages.
-        """
-        return (
-            intent.source is WriteSource.HOST
-            and not intent.sequential
-            and intent.pages <= self.small_write_page_limit
-        )
+    if intent.source is WriteSource.HOST:
+        return SpeedClass.FAST
+    return SpeedClass.SLOW
 
 
-#: The paper's default routing: host -> fast, GC -> slow.
-DEFAULT_POLICY = PlacementPolicy()
+def prefers_fast_superpage(intent: WriteIntent) -> bool:
+    """In-superblock steering: small random host writes first.
 
-#: A routing that ignores write origin (the baseline FTLs use this).
-UNIFORM_POLICY = PlacementPolicy(
-    host_class=SpeedClass.FAST,
-    gc_class=SpeedClass.FAST,
-    metadata_class=SpeedClass.FAST,
-)
+    The paper's optional refinement — small random data goes to the
+    high-speed superpages of a fast superblock, large batch data to its
+    slower superpages.
+    """
+    return (
+        intent.source is WriteSource.HOST
+        and not intent.sequential
+        and intent.pages <= SMALL_WRITE_PAGE_LIMIT
+    )

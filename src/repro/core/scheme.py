@@ -28,7 +28,7 @@ from repro.core.assembler import (
 )
 from repro.core.catalog import BlockCatalog
 from repro.core.gathering import GatheringUnit
-from repro.core.placement import DEFAULT_POLICY, PlacementPolicy, WriteIntent
+from repro.core.placement import WriteIntent, speed_class_for
 from repro.core.records import BlockRecord
 from repro.nand.geometry import NandGeometry
 from repro.obs.registry import MetricsRegistry
@@ -42,14 +42,12 @@ class QstrMedScheme:
         geometry: NandGeometry,
         lanes: Sequence[int],
         candidate_depth: int = 4,
-        placement: PlacementPolicy = DEFAULT_POLICY,
         registry: Optional[MetricsRegistry] = None,
         chooser: Optional[MemberChooser] = None,
     ) -> None:
         if len(set(lanes)) != len(lanes):
             raise ValueError(f"duplicate lanes: {lanes}")
         self._geometry = geometry
-        self.placement = placement
         # Phase counters (Figure 8's three components): how often each
         # QSTR-MED stage ran.  None keeps the scheme observation-free.
         self._counters = registry
@@ -95,7 +93,7 @@ class QstrMedScheme:
 
     def assemble_for(self, intent: WriteIntent) -> SuperblockChoice:
         """Assemble the superblock class this write's origin calls for."""
-        return self.assemble(self.placement.classify(intent))
+        return self.assemble(speed_class_for(intent))
 
     def assemble(self, speed_class: SpeedClass) -> SuperblockChoice:
         choice = self._assembler.assemble(speed_class)

@@ -297,12 +297,12 @@ def worker_entrypoint(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Mark ``fn`` as a process-pool / sweep-cell entry point.
 
     Purely a marker: the function is returned unchanged, with an attribute
-    the deep linter (``repro lint --deep``) keys on to seed its worker-cone
-    analysis — everything reachable from a marked function must be free of
-    module-level mutable writes, lazy singletons, and live RNG objects
-    crossing the boundary (PROC001-003, RNG011).  Any function handed to a
-    ``ProcessPoolExecutor`` should carry this marker (``@register_task``
-    functions are picked up automatically).
+    the linter's whole-program rules (``repro lint``) key on to seed their
+    worker-cone analysis — everything reachable from a marked function must
+    be free of module-level mutable writes, lazy singletons, and live RNG
+    objects crossing the boundary (PROC001-003, RNG011).  Any function
+    handed to a ``ProcessPoolExecutor`` should carry this marker
+    (``@register_task`` functions are picked up automatically).
     """
     setattr(fn, _WORKER_ENTRYPOINT_ATTR, True)
     return fn

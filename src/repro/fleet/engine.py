@@ -204,6 +204,7 @@ class FleetReport:
                 "device_errors",
             )
         }
+        counters["unmapped_reads"] = sum(row["unmapped_reads"] for row in self.devices)
         return {
             "fleet": self.fleet.to_dict(),
             "seed": self.seed,
@@ -703,6 +704,7 @@ class FleetSim:
                     "hard_faults": dev.hard_faults,
                     "breaker_state": dev.breaker.state,
                     "breaker_opens": dev.breaker.opens,
+                    "unmapped_reads": dev.ssd.ftl.metrics.unmapped_reads,
                 }
             )
         return FleetReport(

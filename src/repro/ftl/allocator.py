@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.assembler import SpeedClass
-from repro.core.placement import DEFAULT_POLICY, PlacementPolicy
 from repro.core.records import BlockRecord
 from repro.core.scheme import QstrMedScheme
 from repro.ftl.repair import DEFAULT_REPAIR_DEPTH, speed_candidates
@@ -126,7 +125,6 @@ class QstrAllocator(BlockAllocator):
         geometry: NandGeometry,
         lanes: Sequence[int],
         candidate_depth: int = 4,
-        placement: PlacementPolicy = DEFAULT_POLICY,
         registry: Optional[MetricsRegistry] = None,
         assembly_policy: Optional[AssemblyPolicy] = None,
     ) -> None:
@@ -136,7 +134,6 @@ class QstrAllocator(BlockAllocator):
             geometry,
             lanes,
             candidate_depth,
-            placement,
             registry=registry,
             chooser=assembly_policy,
         )
@@ -294,7 +291,6 @@ def make_allocator(
     lanes: Sequence[int],
     *,
     candidate_depth: int = 4,
-    placement: PlacementPolicy = DEFAULT_POLICY,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
     assembly_policy: Optional[AssemblyPolicy] = None,
@@ -311,7 +307,6 @@ def make_allocator(
             geometry,
             lanes,
             candidate_depth,
-            placement,
             registry,
             assembly_policy=assembly_policy,
         )

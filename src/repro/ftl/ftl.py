@@ -19,12 +19,17 @@ import numpy as np
 
 from repro.core.assembler import SpeedClass
 from repro.core.gathering import GatheringUnit
-from repro.core.placement import DEFAULT_POLICY, PlacementPolicy, WriteIntent, WriteSource
+from repro.core.placement import (
+    WriteIntent,
+    WriteSource,
+    prefers_fast_superpage,
+    speed_class_for,
+)
 from repro.core.superpage import SuperpagePredictor
 from repro.core.records import BlockRecord
 from repro.ftl.allocator import AllocationError, BlockAllocator, make_allocator
 from repro.ftl.config import FtlConfig
-from repro.ftl.mapping import MappingError, PageMapper, PhysicalSlot
+from repro.ftl.mapping import PageMapper, PhysicalSlot
 from repro.ftl.metrics import FtlMetrics
 from repro.ftl.superblock import ManagedSuperblock, SlotLocation, SuperblockTable
 from repro.ftl.wear_leveling import WearLeveler
@@ -104,7 +109,6 @@ class Ftl:
         chips: Sequence[FlashChip],
         config: FtlConfig = FtlConfig(),
         allocator_kind: str = "qstr",
-        placement: PlacementPolicy = DEFAULT_POLICY,
         seed: int = 0,
         tracer: NullTracer = NULL_TRACER,
         registry: Optional[MetricsRegistry] = None,
@@ -122,7 +126,6 @@ class Ftl:
             raise ValueError("planes_used exceeds the chip geometry")
 
         self.config = config
-        self.placement = placement
         self.tracer = tracer
         self.registry = registry
         self.chips: Dict[int, FlashChip] = {lane: chip for lane, chip in enumerate(chips)}
@@ -141,7 +144,6 @@ class Ftl:
             self.geometry,
             self.lanes,
             candidate_depth=config.candidate_depth,
-            placement=placement,
             seed=seed,
             registry=registry,
             assembly_policy=self.policies.assembly,
@@ -239,8 +241,8 @@ class Ftl:
         decision = self.policies.allocation.place(
             AllocationContext(
                 intent=intent,
-                base_class=self.placement.classify(intent),
-                prefers_fast=self.placement.prefers_fast_superpage(intent),
+                base_class=speed_class_for(intent),
+                prefers_fast=prefers_fast_superpage(intent),
                 steering_enabled=self.config.superpage_steering,
                 predictor_ready=self.predictor is not None
                 and self.predictor.ready(),
@@ -755,6 +757,7 @@ class Ftl:
             return ReadResult(lpn=lpn, located=True, latency_us=0.0, buffer_hit=True)
         location = self.mapper.lookup(lpn)
         if location is None:
+            self.metrics.unmapped_reads += 1
             return ReadResult(lpn=lpn, located=False, latency_us=0.0)
         sb = self.table.get(location.superblock_id)
         slot = sb.slot_location(location.slot)
@@ -907,7 +910,7 @@ class Ftl:
             )
         # Relocate valid pages into the GC stream and drain it fully,
         # so no mapping still points into the victim when it is erased.
-        gc_class = self.placement.classify(WriteIntent(source=WriteSource.GC))
+        gc_class = speed_class_for(WriteIntent(source=WriteSource.GC))
         gc_stream = WriteStream.SLOW if gc_class is SpeedClass.SLOW else WriteStream.FAST
         for slot, lpn in self.mapper.valid_slots(victim.sb_id):
             location = victim.slot_location(slot)

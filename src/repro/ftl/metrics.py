@@ -38,6 +38,8 @@ class FtlMetrics:
     host_pages_written: int = 0
     gc_pages_written: int = 0
     pages_read: int = 0
+    # reads of a page neither mapped nor buffered: answered without data
+    unmapped_reads: int = 0
     superblocks_opened: int = 0
     superblocks_erased: int = 0
     gc_runs: int = 0
@@ -138,6 +140,10 @@ class FtlMetrics:
             out[f"stream_{name}_write_mean_us"] = mean_or_zero(
                 self.stream_write_us[name]
             )
+        # Like the fault keys below, present only when nonzero: summaries of
+        # runs that never read an unwritten page stay byte-identical.
+        if self.unmapped_reads:
+            out["unmapped_reads"] = float(self.unmapped_reads)
         # Fault keys appear only when injection actually bit: fault-free
         # summaries stay byte-identical to builds without the fault layer.
         if self.faults_active:

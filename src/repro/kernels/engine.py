@@ -29,11 +29,11 @@ How the fast write path stays identical:
   same underlying state, so they behave identically by construction.
 
 The fast path self-gates: any configuration it cannot reproduce exactly
-(fault injectors, steering, parity, wear leveling, non-static policies, a
-non-default placement) falls back to scalar behavior at construction, and
-:meth:`VectorFtl.flush` (the drain at end of replay) synchronizes the
-deferred state and permanently reverts to scalar — a perf-only fallback,
-not a correctness one.
+(fault injectors, steering, parity, wear leveling, non-static policies)
+falls back to scalar behavior at construction, and :meth:`VectorFtl.flush`
+(the drain at end of replay) synchronizes the deferred state and
+permanently reverts to scalar — a perf-only fallback, not a correctness
+one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.assembler import SpeedClass
-from repro.core.placement import DEFAULT_POLICY, PlacementPolicy, WriteIntent, WriteSource
+from repro.core.placement import WriteIntent, WriteSource
 from repro.core.records import BlockRecord
 from repro.ftl.allocator import QstrAllocator
 from repro.ftl.config import FtlConfig
@@ -128,7 +128,6 @@ class VectorFtl(Ftl):
         chips: Sequence[FlashChip],
         config: FtlConfig = FtlConfig(),
         allocator_kind: str = "qstr",
-        placement: PlacementPolicy = DEFAULT_POLICY,
         seed: int = 0,
         tracer: NullTracer = NULL_TRACER,
         registry: Optional[MetricsRegistry] = None,
@@ -138,7 +137,6 @@ class VectorFtl(Ftl):
             chips,
             config,
             allocator_kind=allocator_kind,
-            placement=placement,
             seed=seed,
             tracer=tracer,
             registry=registry,
@@ -197,7 +195,6 @@ class VectorFtl(Ftl):
             and config.wear_leveling is None
             and not config.superpage_steering
             and not config.parity_protection
-            and placement is DEFAULT_POLICY
             and type(self.policies.allocation) is StaticAllocationPolicy
             and type(self.policies.assembly) is QstrAssemblyPolicy
         )

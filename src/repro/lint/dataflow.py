@@ -20,7 +20,7 @@ uses), locals map to taint-kind sets, and per-function summaries
 (``param taints in`` / ``return taint out``) are iterated to a fixpoint
 over the whole program, so taint crosses call and return edges.
 
-Sinks are recorded as :class:`SinkHit` rows the deep rules turn into
+Sinks are recorded as :class:`SinkHit` rows the whole-program rules turn into
 findings:
 
     ``state``      assignment of a tainted value into ``self.*`` or a
@@ -40,7 +40,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.callgraph import CallGraph, iter_own_nodes
+from repro.lint.callgraph import CallGraph
 from repro.lint.project import FunctionInfo, Project
 
 WALLCLOCK = "wallclock"

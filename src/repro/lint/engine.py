@@ -1,153 +1,60 @@
-"""File discovery, rule execution and suppression filtering."""
+"""The one lint pass: parse once, run every rule, filter suppressions once."""
 
 from __future__ import annotations
 
-import ast
-import os
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, List, Mapping, Optional
 
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule, RuleContext, all_rules
-from repro.lint.suppressions import parse_suppressions
+from repro.lint.callgraph import CallGraph
+from repro.lint.dataflow import TaintAnalysis
+from repro.lint.findings import Finding
+from repro.lint.project import Project
+from repro.lint.registry import ProgramContext, ProgramRule, Rule, all_rules
+from repro.lint.suppressions import SuppressionIndex
 
-#: directories never descended into while collecting files.
-_SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".pytest_cache", ".venv"}
+
+def build_context(project: Project) -> ProgramContext:
+    """Build the call graph and run taint analysis over a parsed project."""
+    graph = CallGraph(project)
+    taint = TaintAnalysis(project, graph)
+    taint.run()
+    return ProgramContext(project=project, graph=graph, taint=taint)
 
 
-def module_name_for(path: Path, root: Optional[Path] = None) -> str:
-    """Best-effort dotted module name for a file path.
+def lint_project(project: Project) -> List[Finding]:
+    """Run every rule over a parsed project and return the unsuppressed findings.
 
-    ``src/repro/ftl/ftl.py`` → ``repro.ftl.ftl``; anything else becomes the
-    path relative to ``root`` (or the last components) with ``/`` → ``.``.
+    Per-file rules see each parsed file; whole-program rules see one
+    :class:`ProgramContext`.  A finding reported twice (a whole-program rule
+    reaching it via two call paths) is kept once.
     """
-    parts = list(path.parts)
-    if path.suffix == ".py":
-        parts[-1] = path.stem
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    if "repro" in parts:
-        idx = len(parts) - 1 - parts[::-1].index("repro")
-        if idx == 0 or parts[idx - 1] == "src":
-            return ".".join(parts[idx:]) or "repro"
-    if root is not None:
-        try:
-            rel = path.resolve().relative_to(root.resolve())
-            rel_parts = list(rel.parts)
-            if rel_parts and rel_parts[-1].endswith(".py"):
-                rel_parts[-1] = rel.stem
-            if rel_parts and rel_parts[-1] == "__init__":
-                rel_parts = rel_parts[:-1]
-            return ".".join(rel_parts)
-        except ValueError:
-            pass
-    return ".".join(parts[-2:]) if len(parts) >= 2 else ".".join(parts)
+    rules = all_rules()
+    file_rules = [rule for rule in rules if isinstance(rule, Rule)]
+    program_rules = [rule for rule in rules if isinstance(rule, ProgramRule)]
+    raw: List[Finding] = list(project.parse_errors)
+    for info in project.files:
+        for file_rule in file_rules:
+            if file_rule.applies_to(info.name):
+                raw.extend(file_rule.check(info))
+    ctx = build_context(project)
+    for program_rule in program_rules:
+        raw.extend(program_rule.check(ctx))
+    suppressions = {info.path: info.suppressions for info in project.files}
+    unsuppressed = SuppressionIndex()
+    return [
+        finding
+        for finding in sorted(set(raw))
+        if not suppressions.get(finding.path, unsuppressed).suppresses(finding)
+    ]
 
 
-def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
-    """Expand files/directories into a sorted stream of ``.py`` files."""
-    seen: Set[str] = set()
-    collected: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            # deterministic: dirnames is re-sorted in place below, so the walk
-            # order is pinned regardless of readdir order.
-            for dirpath, dirnames, filenames in os.walk(path):  # reprolint: disable=DET011
-                dirnames[:] = sorted(
-                    d for d in dirnames if d not in _SKIP_DIRS and not d.startswith(".")
-                )
-                for name in sorted(filenames):
-                    if name.endswith(".py"):
-                        collected.append(Path(dirpath) / name)
-        elif path.suffix == ".py":
-            collected.append(path)
-    # collected is already deterministic: the walk above pins dirnames in
-    # place and iterates filenames sorted, so this order is reproducible.
-    for path in collected:  # reprolint: disable=DET011
-        key = str(path.resolve())
-        if key not in seen:
-            seen.add(key)
-            yield path
-
-
-class LintRunner:
-    """Runs a rule set over sources and files, honoring suppressions."""
-
-    def __init__(
-        self, rules: Optional[Sequence[Rule]] = None, root: Optional[Path] = None
-    ) -> None:
-        self.rules: List[Rule] = list(rules) if rules is not None else all_rules()
-        self.root = root
-
-    def lint_source(self, source: str, path: str, module: str) -> List[Finding]:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as error:
-            return [
-                Finding(
-                    path=path,
-                    line=error.lineno or 1,
-                    col=error.offset or 0,
-                    code="PARSE",
-                    message=f"syntax error: {error.msg}",
-                    severity=Severity.ERROR,
-                )
-            ]
-        ctx = RuleContext(
-            path=path,
-            module=module,
-            source=source,
-            tree=tree,
-            lines=source.splitlines(),
-        )
-        suppressions = parse_suppressions(source, tree=tree)
-        findings: List[Finding] = []
-        for rule in self.rules:
-            if not rule.applies_to(module):
-                continue
-            for finding in rule.check(ctx):
-                if not suppressions.suppresses(finding):
-                    findings.append(finding)
-        return sorted(findings)
-
-    def lint_file(self, path: Path) -> List[Finding]:
-        display = self._display_path(path)
-        module = module_name_for(path, self.root)
-        source = path.read_text(encoding="utf-8")
-        return self.lint_source(source, display, module)
-
-    def lint_paths(self, paths: Sequence[Path]) -> List[Finding]:
-        findings: List[Finding] = []
-        for path in iter_python_files(paths):
-            findings.extend(self.lint_file(path))
-        return sorted(findings)
-
-    def _display_path(self, path: Path) -> str:
-        if self.root is not None:
-            try:
-                return str(path.resolve().relative_to(self.root.resolve()))
-            except ValueError:
-                pass
-        return str(path)
-
-
-def lint_paths(
-    paths: Iterable[str],
-    rules: Optional[Sequence[Rule]] = None,
-    root: Optional[Path] = None,
-) -> List[Finding]:
-    """Convenience wrapper: lint files/directories and return findings."""
-    resolved = [Path(p) for p in paths]
+def lint_paths(paths: Iterable[str], root: Optional[Path] = None) -> List[Finding]:
+    """Lint files/directories; paths display relative to ``root`` (default cwd)."""
     if root is None:
         root = Path.cwd()
-    return LintRunner(rules=rules, root=root).lint_paths(resolved)
+    return lint_project(Project.from_paths([Path(p) for p in paths], root=root))
 
 
-def lint_source(
-    source: str,
-    path: str = "<memory>",
-    module: str = "repro.memory",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint an in-memory source string (the unit-test entry point)."""
-    return LintRunner(rules=rules).lint_source(source, path, module)
+def lint_sources(sources: Mapping[str, str]) -> List[Finding]:
+    """Lint in-memory ``{module name: source}`` (the unit-test entry point)."""
+    return lint_project(Project.from_sources(sources))

@@ -40,8 +40,8 @@ layer) sits in the same band: it serves tenant workloads over fully built
 devices, so it may import everything up to ``workloads``, while ``exp``
 owns its construction (``SimConfig.fleet`` → ``build_fleet``) and is the
 only layer that reaches down into it.  The fleet scheduler runs entirely in
-simulated time — the wall-clock fence (``perf`` below, deep-lint taint
-rules) applies to it like any simulation layer.  ``repro.api`` is the
+simulated time — the wall-clock fence (``perf`` below, the whole-program
+taint rules) applies to it like any simulation layer.  ``repro.api`` is the
 top-level façade benchmarks and tools import from.
 
 :data:`LAYER_EXCEPTIONS` lists the few reviewed module-level edges that cross

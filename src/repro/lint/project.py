@@ -1,10 +1,11 @@
-"""Whole-program model: modules, symbol table, import resolution.
+"""File discovery and the parsed program: modules, symbol table, imports.
 
-The per-file rules of PR 1 see one AST at a time; the deep analysis passes
-(RNG stream flow, nondeterminism taint, process safety) need to see the
-*program*: which qualified function a call site lands in, which module a
-name was imported from, where module-level mutable state lives.
-:class:`Project` parses every linted file once and indexes
+:class:`Project` parses every linted file exactly once.  The per-file rules
+read each :class:`ModuleInfo` tree; the whole-program rules (RNG stream
+flow, nondeterminism taint, process safety) need to see the *program*:
+which qualified function a call site lands in, which module a name was
+imported from, where module-level mutable state lives.  So the project also
+indexes
 
 * every function and method by qualified name (``repro.ftl.ftl.Ftl.write``),
 * every class with its bases and method table,
@@ -17,12 +18,84 @@ so the call graph and the taint framework never re-parse or re-resolve.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.lint.engine import iter_python_files, module_name_for
+from repro.lint.findings import Finding, Severity
 from repro.lint.suppressions import SuppressionIndex, parse_suppressions
+
+if TYPE_CHECKING:
+    from repro.lint.registry import Rule
+
+#: directories never descended into while collecting files.
+_SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".pytest_cache", ".venv"}
+
+
+def module_name_for(path: Path, root: Optional[Path] = None) -> str:
+    """Best-effort dotted module name for a file path.
+
+    ``src/repro/ftl/ftl.py`` → ``repro.ftl.ftl``; anything else becomes the
+    path relative to ``root`` (or the last components) with ``/`` → ``.``.
+    """
+    parts = list(path.parts)
+    if path.suffix == ".py":
+        parts[-1] = path.stem
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    if "repro" in parts:
+        idx = len(parts) - 1 - parts[::-1].index("repro")
+        if idx == 0 or parts[idx - 1] == "src":
+            return ".".join(parts[idx:]) or "repro"
+    if root is not None:
+        try:
+            rel = path.resolve().relative_to(root.resolve())
+            rel_parts = list(rel.parts)
+            if rel_parts and rel_parts[-1].endswith(".py"):
+                rel_parts[-1] = rel.stem
+            if rel_parts and rel_parts[-1] == "__init__":
+                rel_parts = rel_parts[:-1]
+            return ".".join(rel_parts)
+        except ValueError:
+            pass
+    return ".".join(parts[-2:]) if len(parts) >= 2 else ".".join(parts)
+
+
+def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
+    """Expand files/directories into a sorted stream of ``.py`` files."""
+    seen: Set[str] = set()
+    collected: List[Path] = []
+    for path in paths:
+        if path.is_dir():
+            # deterministic: dirnames is re-sorted in place below, so the walk
+            # order is pinned regardless of readdir order.
+            for dirpath, dirnames, filenames in os.walk(path):  # reprolint: disable=DET011
+                dirnames[:] = sorted(
+                    d for d in dirnames if d not in _SKIP_DIRS and not d.startswith(".")
+                )
+                for name in sorted(filenames):
+                    if name.endswith(".py"):
+                        collected.append(Path(dirpath) / name)
+        elif path.suffix == ".py":
+            collected.append(path)
+    # collected is already deterministic: the walk above pins dirnames in
+    # place and iterates filenames sorted, so this order is reproducible.
+    for path in collected:  # reprolint: disable=DET011
+        key = str(path.resolve())
+        if key not in seen:
+            seen.add(key)
+            yield path
 
 
 @dataclass
@@ -76,6 +149,23 @@ class ModuleInfo:
     global_mutables: Dict[str, int] = field(default_factory=dict)
     suppressions: SuppressionIndex = field(default_factory=SuppressionIndex)
 
+    def finding(
+        self,
+        rule: Rule,
+        node: ast.AST,
+        message: str,
+        severity: Severity = Severity.ERROR,
+    ) -> Finding:
+        """A per-file rule's finding anchored on ``node`` in this file."""
+        return Finding(
+            path=self.path,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            code=rule.code,
+            message=message,
+            severity=severity,
+        )
+
     def expand(self, dotted: str) -> str:
         """Rewrite ``dotted`` through this module's import aliases.
 
@@ -127,9 +217,15 @@ class Project:
     """The parsed whole program: modules + a project-wide symbol table."""
 
     def __init__(self) -> None:
+        #: every parsed file in discovery order; the per-file rules run over
+        #: these, so two files that map to one module name are both checked
+        self.files: List[ModuleInfo] = []
+        #: module name -> file, for name resolution
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
+        #: one PARSE finding per file that does not parse
+        self.parse_errors: List[Finding] = []
 
     # -- construction -------------------------------------------------------
 
@@ -166,18 +262,29 @@ class Project:
     def add_source(self, module: str, source: str, path: str) -> None:
         try:
             tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            return  # the shallow engine reports PARSE findings
+        except SyntaxError as error:
+            self.parse_errors.append(
+                Finding(
+                    path=path,
+                    line=error.lineno or 1,
+                    col=error.offset or 0,
+                    code="PARSE",
+                    message=f"syntax error: {error.msg}",
+                    severity=Severity.ERROR,
+                )
+            )
+            return
         info = ModuleInfo(
             name=module,
             path=path,
             source=source,
             tree=tree,
             lines=source.splitlines(),
-            suppressions=parse_suppressions(source, tree=tree),
+            suppressions=parse_suppressions(source),
         )
         self._index_imports(info)
         self._index_definitions(info)
+        self.files.append(info)
         self.modules[module] = info
 
     def _index_imports(self, info: ModuleInfo) -> None:
@@ -300,12 +407,6 @@ class Project:
         """Import-alias expansion of ``dotted`` in ``module`` (externals too)."""
         info = self.modules.get(module)
         return info.expand(dotted) if info is not None else dotted
-
-    def module_for_path(self, path: str) -> Optional[ModuleInfo]:
-        for info in self.modules.values():
-            if info.path == path:
-                return info
-        return None
 
     def methods_named(self, name: str) -> List[FunctionInfo]:
         """Every method with the given bare name (dynamic-dispatch fallback)."""

@@ -1,47 +1,39 @@
-"""Rule base class, per-file context, and the global rule registry."""
+"""The two rule base classes, the whole-program context, and the one registry.
+
+A :class:`Rule` checks one parsed file (a
+:class:`~repro.lint.project.ModuleInfo`); a :class:`ProgramRule` checks the
+whole program through a :class:`ProgramContext`.  Both register with
+:func:`register_rule` under a unique code, and ``repro lint`` runs every
+registered rule in one pass.
+"""
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 from repro.lint.findings import Finding, Severity
 
-
-@dataclass
-class RuleContext:
-    """Everything a rule may consult while checking one file."""
-
-    path: str
-    """Display path (relative to the lint root when possible)."""
-
-    module: str
-    """Dotted module name, e.g. ``repro.ftl.ftl`` or ``benchmarks.bench_x``."""
-
-    source: str
-    tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-
-    def finding(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-        severity: Severity = Severity.ERROR,
-    ) -> Finding:
-        return Finding(
-            path=self.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            code=rule.code,
-            message=message,
-            severity=severity,
-        )
+if TYPE_CHECKING:
+    from repro.lint.callgraph import CallGraph
+    from repro.lint.dataflow import TaintAnalysis
+    from repro.lint.project import ModuleInfo, Project
 
 
 class Rule:
-    """Base class for one lint rule.
+    """Base class for one per-file lint rule.
 
     Subclasses set ``code``/``name``/``description`` and implement
     :meth:`check`.  ``scope_prefixes`` restricts a rule to modules whose
@@ -66,7 +58,7 @@ class Rule:
             for prefix in self.scope_prefixes
         )
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
 
     # -- shared AST helpers -------------------------------------------------
@@ -84,11 +76,47 @@ class Rule:
         return None
 
 
-_REGISTRY: Dict[str, Type[Rule]] = {}
+@dataclass
+class ProgramContext:
+    """Everything a whole-program rule sees: the program, its graph, its taint."""
+
+    project: Project
+    graph: CallGraph
+    taint: TaintAnalysis
+
+    def finding(
+        self,
+        path: str,
+        line: int,
+        col: int,
+        code: str,
+        message: str,
+        severity: Severity = Severity.ERROR,
+    ) -> Finding:
+        return Finding(
+            path=path, line=line, col=col, code=code, message=message, severity=severity
+        )
 
 
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule to the global registry."""
+class ProgramRule:
+    """Base class for one whole-program rule (call graph + taint)."""
+
+    code: str = ""
+    name: str = ""
+    description: str = ""
+
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
+        raise NotImplementedError
+
+
+AnyRule = Union[Rule, ProgramRule]
+_RuleClass = TypeVar("_RuleClass", Type[Rule], Type[ProgramRule])
+
+_REGISTRY: Dict[str, Union[Type[Rule], Type[ProgramRule]]] = {}
+
+
+def register_rule(cls: _RuleClass) -> _RuleClass:
+    """Class decorator adding a rule of either kind to the one registry."""
     if not cls.code:
         raise ValueError(f"rule {cls.__name__} has no code")
     if cls.code in _REGISTRY:
@@ -97,14 +125,14 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def all_rules() -> List[Rule]:
+def all_rules() -> List[AnyRule]:
     """Fresh instances of every registered rule, sorted by code."""
     import repro.lint.rules  # noqa: F401  (registers the built-in rules)
 
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
 
 
-def get_rule(code: str) -> Rule:
+def get_rule(code: str) -> AnyRule:
     import repro.lint.rules  # noqa: F401
 
     try:

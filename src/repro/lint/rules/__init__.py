@@ -1,7 +1,7 @@
 """Built-in rule families; importing this package registers every rule.
 
-The ``deep_*`` modules register whole-program rules (run via
-``repro lint --deep``); the rest are per-file shallow rules.
+The ``deep_*`` modules register whole-program rules; the rest are per-file
+rules.  ``repro lint`` runs both kinds in one pass.
 """
 
 from __future__ import annotations

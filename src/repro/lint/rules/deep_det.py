@@ -1,7 +1,7 @@
-"""Deep nondeterminism-taint rules (DET010-012).
+"""Whole-program nondeterminism-taint rules (DET010-012).
 
 These consume the :class:`~repro.lint.dataflow.TaintAnalysis` sink hits.
-The shallow DET001/DET002 (PR 1) ban a source *call* syntactically; these
+The per-file DET001/DET002 ban a source *call* syntactically; these
 track the *value* — a ``time.time()`` result is fine in a log message, but
 once it flows (through assignments, returns, containers, call boundaries)
 into sim state, trace output, or a content hash, replay breaks.
@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.lint.dataflow import FSORDER, OBJID, WALLCLOCK
-from repro.lint.deep import DeepContext, DeepRule, register_deep_rule
 from repro.lint.findings import Finding
+from repro.lint.registry import ProgramContext, ProgramRule, register_rule
 
 
-@register_deep_rule
-class WallclockReachesState(DeepRule):
+@register_rule
+class WallclockReachesState(ProgramRule):
     """DET010: a wall-clock value reaches state, output, or a hash."""
 
     code = "DET010"
@@ -30,7 +30,7 @@ class WallclockReachesState(DeepRule):
 
     _SINKS = frozenset({"state", "output", "hash"})
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         for hit in ctx.taint.sink_hits:
             if hit.kind == WALLCLOCK and hit.sink in self._SINKS:
                 yield ctx.finding(
@@ -46,8 +46,8 @@ class WallclockReachesState(DeepRule):
                 )
 
 
-@register_deep_rule
-class FsOrderReachesResults(DeepRule):
+@register_rule
+class FsOrderReachesResults(ProgramRule):
     """DET011: an OS-ordered filesystem listing is consumed unsorted."""
 
     code = "DET011"
@@ -60,7 +60,7 @@ class FsOrderReachesResults(DeepRule):
 
     _SINKS = frozenset({"iteration", "return", "state", "output", "hash"})
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         for hit in ctx.taint.sink_hits:
             if hit.kind == FSORDER and hit.sink in self._SINKS:
                 yield ctx.finding(
@@ -76,8 +76,8 @@ class FsOrderReachesResults(DeepRule):
                 )
 
 
-@register_deep_rule
-class ObjectIdentityReachesResults(DeepRule):
+@register_rule
+class ObjectIdentityReachesResults(ProgramRule):
     """DET012: id()/hash-of-object flows into state, output, or a hash."""
 
     code = "DET012"
@@ -90,7 +90,7 @@ class ObjectIdentityReachesResults(DeepRule):
 
     _SINKS = frozenset({"state", "output", "hash"})
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         for hit in ctx.taint.sink_hits:
             if hit.kind == OBJID and hit.sink in self._SINKS:
                 yield ctx.finding(

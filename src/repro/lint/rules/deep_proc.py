@@ -1,4 +1,4 @@
-"""Deep process-safety rules (PROC001-003).
+"""Whole-program process-safety rules (PROC001-003).
 
 ``repro.exp.sweep.run(..., workers=N)`` promises bit-identical results to
 the serial run.  That only holds if sweep workers are *functions of their
@@ -17,9 +17,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import iter_own_nodes
 from repro.lint.dataflow import ENTRYPOINT_DECORATORS
-from repro.lint.deep import DeepContext, DeepRule, register_deep_rule
 from repro.lint.findings import Finding, Severity
 from repro.lint.project import FunctionInfo, ModuleInfo
+from repro.lint.registry import ProgramContext, ProgramRule, register_rule
 
 _MUTATORS = frozenset(
     {"append", "extend", "add", "insert", "update", "setdefault", "pop", "remove", "clear"}
@@ -39,7 +39,7 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _worker_cone(ctx: DeepContext) -> Dict[str, str]:
+def _worker_cone(ctx: ProgramContext) -> Dict[str, str]:
     """function qualname -> the entrypoint it is reachable from (first wins)."""
     cone: Dict[str, str] = {}
     seeds = sorted(
@@ -99,8 +99,8 @@ def _bound_names(fn: FunctionInfo) -> Set[str]:
     return names
 
 
-@register_deep_rule
-class GlobalMutableWrittenInWorker(DeepRule):
+@register_rule
+class GlobalMutableWrittenInWorker(ProgramRule):
     """PROC001: module-level mutable state written inside the worker cone."""
 
     code = "PROC001"
@@ -111,7 +111,7 @@ class GlobalMutableWrittenInWorker(DeepRule):
         "so results depend on the worker/cell assignment."
     )
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         cone = _worker_cone(ctx)
         findings: List[Finding] = []
         for qualname in sorted(cone):
@@ -172,8 +172,8 @@ class GlobalMutableWrittenInWorker(DeepRule):
         return findings
 
 
-@register_deep_rule
-class NonPicklableIntoPool(DeepRule):
+@register_rule
+class NonPicklableIntoPool(ProgramRule):
     """PROC002: a lambda/closure is submitted to a process pool."""
 
     code = "PROC002"
@@ -184,7 +184,7 @@ class NonPicklableIntoPool(DeepRule):
         "at runtime (or silently fall back). Define workers at module level."
     )
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         findings: List[Finding] = []
         for qualname in sorted(ctx.project.functions):
             fn = ctx.project.functions[qualname]
@@ -267,8 +267,8 @@ class NonPicklableIntoPool(DeepRule):
                 executors.add(target.id)
 
 
-@register_deep_rule
-class ForkUnsafeLazySingleton(DeepRule):
+@register_rule
+class ForkUnsafeLazySingleton(ProgramRule):
     """PROC003: a lazy module-level singleton is initialized in the worker cone."""
 
     code = "PROC003"
@@ -279,7 +279,7 @@ class ForkUnsafeLazySingleton(DeepRule):
         "depends on call timing, so worker state diverges from serial runs."
     )
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         cone = _worker_cone(ctx)
         findings: List[Finding] = []
         for qualname in sorted(cone):

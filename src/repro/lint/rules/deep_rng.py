@@ -1,4 +1,4 @@
-"""Deep RNG stream-flow rules (RNG010-012).
+"""Whole-program RNG stream-flow rules (RNG010-012).
 
 The determinism contract (DESIGN.md §3) is *one derived stream per logical
 consumer*: every generator comes from ``derive_seed(root_seed, *labels)``
@@ -20,8 +20,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import iter_own_nodes
 from repro.lint.dataflow import RNG
-from repro.lint.deep import DeepContext, DeepRule, register_deep_rule
 from repro.lint.findings import Finding, Severity
+from repro.lint.registry import ProgramContext, ProgramRule, register_rule
 
 #: modules allowed to manipulate raw streams (they implement the contract).
 _EXEMPT_MODULES = frozenset({"repro.utils.rng"})
@@ -57,8 +57,8 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register_deep_rule
-class DuplicateSeedStream(DeepRule):
+@register_rule
+class DuplicateSeedStream(ProgramRule):
     """RNG010: two call sites derive the same (seed, label) stream."""
 
     code = "RNG010"
@@ -69,7 +69,7 @@ class DuplicateSeedStream(DeepRule):
         "one stream, so adding a draw in one silently reorders the other."
     )
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         #: (root_expr, labels) -> [(path, line, col, module)]
         sites: Dict[Tuple[str, Tuple[object, ...]], List[Tuple[str, int, int]]] = (
             defaultdict(list)
@@ -116,8 +116,8 @@ class DuplicateSeedStream(DeepRule):
         return findings
 
 
-@register_deep_rule
-class RngCrossesBoundary(DeepRule):
+@register_rule
+class RngCrossesBoundary(ProgramRule):
     """RNG011: a generator object crosses a process/worker boundary."""
 
     code = "RNG011"
@@ -129,7 +129,7 @@ class RngCrossesBoundary(DeepRule):
         "re-derive inside the worker."
     )
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         for hit in ctx.taint.sink_hits:
             if hit.kind == RNG and hit.sink == "boundary":
                 yield ctx.finding(
@@ -145,8 +145,8 @@ class RngCrossesBoundary(DeepRule):
                 )
 
 
-@register_deep_rule
-class StoredGeneratorSharedDraws(DeepRule):
+@register_rule
+class StoredGeneratorSharedDraws(ProgramRule):
     """RNG012: a stored generator is drawn from by several methods."""
 
     code = "RNG012"
@@ -157,7 +157,7 @@ class StoredGeneratorSharedDraws(DeepRule):
         "callers happen to invoke those methods, breaking replay."
     )
 
-    def check(self, ctx: DeepContext) -> Iterable[Finding]:
+    def check(self, ctx: ProgramContext) -> Iterable[Finding]:
         findings: List[Finding] = []
         for class_qualname in sorted(ctx.project.classes):
             cls = ctx.project.classes[class_qualname]

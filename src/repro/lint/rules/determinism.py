@@ -9,9 +9,9 @@ package: benchmarks and tools may legitimately measure wall time.
 
 One reviewed carve-out: ``repro.perf`` (the wall-clock performance
 observability layer) may read ``time.perf_counter`` / ``perf_counter_ns`` —
-it exists to measure the simulator from outside, and the deep linter
-verifies its durations never flow into simulation state.  Day-of-wall
-time, ``datetime`` and entropy sources stay banned even there.
+it exists to measure the simulator from outside, and the whole-program
+taint rules verify its durations never flow into simulation state.
+Day-of-wall time, ``datetime`` and entropy sources stay banned even there.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, RuleContext, register_rule
+from repro.lint.project import ModuleInfo
+from repro.lint.registry import Rule, register_rule
 from repro.lint.rules.common import walk_runtime
 
 #: attribute chains whose *use* reads ambient entropy or wall-clock time.
@@ -61,8 +62,8 @@ _BANNED_FROM_IMPORTS = frozenset(
 
 #: the one sanctioned carve-out: ``repro.perf`` owns the host clock.  Only
 #: the monotonic performance counter is released to it — wall-of-day time,
-#: datetime and entropy sources stay banned even there, and the deep
-#: linter's dataflow pass audits that perf-produced durations never reach
+#: datetime and entropy sources stay banned even there, and the
+#: whole-program taint pass audits that perf-produced durations never reach
 #: simulation state.
 _PERF_PACKAGE = "repro.perf"
 _PERF_ALLOWED_DOTTED = frozenset({"time.perf_counter", "time.perf_counter_ns"})
@@ -86,8 +87,8 @@ class WallClockRead(Rule):
     )
     scope_prefixes = ("repro",)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        in_perf = _in_perf_package(ctx.module)
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
+        in_perf = _in_perf_package(ctx.name)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute):
                 dotted = self.dotted_name(node)
@@ -127,7 +128,7 @@ class UnorderedSetIteration(Rule):
     )
     scope_prefixes = ("repro",)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in walk_runtime(ctx.tree):
             iterable: Optional[ast.expr] = None
             if isinstance(node, ast.For):

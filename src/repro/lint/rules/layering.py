@@ -12,7 +12,8 @@ from typing import Iterator, List
 
 from repro.lint.findings import Finding
 from repro.lint.layers import is_allowed_import, layer_of
-from repro.lint.registry import Rule, RuleContext, register_rule
+from repro.lint.project import ModuleInfo
+from repro.lint.registry import Rule, register_rule
 from repro.lint.rules.common import walk_runtime
 
 
@@ -36,7 +37,7 @@ class LayerViolation(Rule):
     )
     scope_prefixes = ("repro",)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in walk_runtime(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -45,7 +46,7 @@ class LayerViolation(Rule):
             elif isinstance(node, ast.ImportFrom):
                 if node.level > 0:
                     target = _resolve_relative(
-                        ctx.module, node.level, node.module or ""
+                        ctx.name, node.level, node.module or ""
                     )
                 elif node.module is not None:
                     target = node.module
@@ -55,15 +56,15 @@ class LayerViolation(Rule):
                     yield from self._check_edge(ctx, node, target)
 
     def _check_edge(
-        self, ctx: RuleContext, node: ast.stmt, target: str
+        self, ctx: ModuleInfo, node: ast.stmt, target: str
     ) -> Iterator[Finding]:
-        if is_allowed_import(ctx.module, target):
+        if is_allowed_import(ctx.name, target):
             return
-        importer_layer = layer_of(ctx.module) or "top-level"
+        importer_layer = layer_of(ctx.name) or "top-level"
         target_layer = layer_of(target) or "top-level"
         yield ctx.finding(
             self,
             node,
-            f"'{ctx.module}' (layer {importer_layer}) may not import "
+            f"'{ctx.name}' (layer {importer_layer}) may not import "
             f"'{target}' (layer {target_layer}) — " + self.description,
         )

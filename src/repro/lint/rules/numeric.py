@@ -11,7 +11,8 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, RuleContext, register_rule
+from repro.lint.project import ModuleInfo
+from repro.lint.registry import Rule, register_rule
 
 
 @register_rule
@@ -24,7 +25,7 @@ class FloatLiteralEquality(Rule):
         "integers"
     )
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -55,7 +56,7 @@ class MutableDefaultArgument(Rule):
 
     _MUTABLE = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue

@@ -23,7 +23,8 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, RuleContext, register_rule
+from repro.lint.project import ModuleInfo
+from repro.lint.registry import Rule, register_rule
 
 #: modules whose import inside repro.obs / repro.perf is forbidden.
 _CLOCK_MODULES = frozenset({"time", "datetime"})
@@ -49,8 +50,8 @@ class WallClockModuleInObs(Rule):
     )
     scope_prefixes = ("repro.obs", "repro.perf")
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        in_perf = _in_perf(ctx.module)
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
+        in_perf = _in_perf(ctx.name)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

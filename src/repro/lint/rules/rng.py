@@ -13,7 +13,8 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, RuleContext, register_rule
+from repro.lint.project import ModuleInfo
+from repro.lint.registry import Rule, register_rule
 
 #: the one module allowed to construct generators however it needs to.
 _RNG_HOME = ("repro.utils.rng",)
@@ -34,7 +35,7 @@ class BannedRandomImport(Rule):
     )
     exempt_modules = _RNG_HOME
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -65,7 +66,7 @@ class GlobalNumpyRandom(Rule):
     )
     exempt_modules = _RNG_HOME
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -95,7 +96,7 @@ class UnderivedDefaultRng(Rule):
     )
     exempt_modules = _RNG_HOME
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -132,7 +133,7 @@ class UnlabeledFaultStream(Rule):
     )
     scope_prefixes = ("repro.faults",)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -164,7 +165,7 @@ class UnlabeledPolicyStream(Rule):
     )
     scope_prefixes = ("repro.policy",)
 
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+    def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -1,13 +1,9 @@
 """Parsing of ``# reprolint: disable=...`` suppression comments.
 
-Two directives are supported:
+Two directives are supported, and they mean the same for every rule:
 
 * ``# reprolint: disable=CODE1,CODE2`` — suppresses those codes for findings
-  reported **on the same line** (the line the AST node starts on).  When the
-  directive sits on a ``def`` line or one of its decorator lines, the codes
-  additionally cover the **whole function body** for deep (whole-program
-  dataflow) findings — those anchor on arbitrary statements inside the
-  function, so line-matching the ``def`` alone could never silence them;
+  reported **on the same line** (the line the AST node starts on);
 * ``# reprolint: disable-file=CODE1,CODE2`` — suppresses those codes for the
   whole file; conventionally placed near the top.
 
@@ -17,12 +13,11 @@ preceding line; the linter enforces the syntax, reviewers enforce the why.
 
 from __future__ import annotations
 
-import ast
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.lint.findings import Finding
 
@@ -46,8 +41,8 @@ def _iter_comment_directives(source: str) -> Iterator[Tuple[int, "re.Match[str]"
             if match is not None:
                 yield token.start[0], match
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        # Unparseable files are reported by the engine as PARSE findings;
-        # no suppressions apply.
+        # An unparseable file is reported as one PARSE finding (see
+        # Project.add_source); no suppressions apply.
         return
 
 
@@ -57,52 +52,15 @@ class SuppressionIndex:
 
     file_codes: FrozenSet[str] = frozenset()
     line_codes: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    #: (first_line, last_line, codes) function-body ranges — a directive on a
-    #: ``def``/decorator line widened to the whole function, deep codes only.
-    ranges: Tuple[Tuple[int, int, FrozenSet[str]], ...] = ()
 
-    def suppresses(self, finding: Finding, function_scope: bool = False) -> bool:
+    def suppresses(self, finding: Finding) -> bool:
         if finding.code in self.file_codes:
             return True
-        if finding.code in self.line_codes.get(finding.line, frozenset()):
-            return True
-        if function_scope:
-            for first, last, codes in self.ranges:
-                if first <= finding.line <= last and finding.code in codes:
-                    return True
-        return False
+        return finding.code in self.line_codes.get(finding.line, frozenset())
 
 
-def _function_ranges(
-    tree: ast.Module, line_codes: Dict[int, FrozenSet[str]]
-) -> Tuple[Tuple[int, int, FrozenSet[str]], ...]:
-    """Widen def/decorator-line directives to whole-function ranges."""
-    ranges: List[Tuple[int, int, FrozenSet[str]]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        first = min(
-            [node.lineno] + [d.lineno for d in node.decorator_list],
-        )
-        header_lines = range(first, node.body[0].lineno if node.body else node.lineno)
-        codes: Set[str] = set()
-        for lineno in header_lines:
-            codes.update(line_codes.get(lineno, frozenset()))
-        if codes:
-            last = getattr(node, "end_lineno", node.lineno)
-            ranges.append((first, last, frozenset(codes)))
-    return tuple(sorted(ranges))
-
-
-def parse_suppressions(
-    source: str, tree: Optional[ast.Module] = None
-) -> SuppressionIndex:
-    """Scan a file's text for suppression directives.
-
-    With ``tree`` given, directives on ``def``/decorator lines are widened to
-    whole-function ranges (honored only for deep findings, via
-    ``suppresses(..., function_scope=True)``).
-    """
+def parse_suppressions(source: str) -> SuppressionIndex:
+    """Scan a file's text for suppression directives."""
     file_codes: Set[str] = set()
     line_codes: Dict[int, FrozenSet[str]] = {}
     for lineno, match in _iter_comment_directives(source):
@@ -115,12 +73,7 @@ def parse_suppressions(
             file_codes.update(codes)
         else:
             line_codes[lineno] = line_codes.get(lineno, frozenset()) | codes
-    ranges: Tuple[Tuple[int, int, FrozenSet[str]], ...] = ()
-    if tree is not None and line_codes:
-        ranges = _function_ranges(tree, line_codes)
-    return SuppressionIndex(
-        file_codes=frozenset(file_codes), line_codes=line_codes, ranges=ranges
-    )
+    return SuppressionIndex(file_codes=frozenset(file_codes), line_codes=line_codes)
 
 
 def directive_lines(source: str) -> List[int]:

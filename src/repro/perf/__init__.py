@@ -3,7 +3,7 @@
 ``repro.obs`` answers "how long did the *simulated* device take";
 this layer answers "how long did the *simulation* take", and it is the
 only place in the tree allowed to read the host clock (DET001/OBS001
-carve-outs; the deep linter audits the fence).  Profiling never perturbs
+carve-outs; the whole-program taint rules audit the fence).  Profiling never perturbs
 simulation results — same seeds produce byte-identical traces with a
 profiler active or not.
 

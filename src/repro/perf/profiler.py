@@ -2,8 +2,8 @@
 
 ``repro.perf`` is the *only* package allowed to read the host clock
 (``time.perf_counter``) — DET001/OBS001 fence every other ``repro.*``
-module off from it, and the deep linter treats values returned by this
-layer as sanctioned telemetry rather than nondeterminism taint.  The
+module off from it, and the linter's taint pass treats values returned by
+this layer as sanctioned telemetry rather than nondeterminism taint.  The
 contract in exchange: profiling must never perturb simulation results.
 A profiler only ever *reads* the clock and mutates its own node tree; it
 never draws from an RNG, touches simulator state, or reorders events, so

@@ -287,6 +287,62 @@ class TestFaultFlags:
         assert "fault schedule" in err
 
 
+#: the CI chaos job's fleet plan: plane 0 of every chip of device 0 fails
+#: at 30 ms, so device 0 is ejected and its tenants re-shard.
+_FLEET_OUTAGE_PLAN = {
+    "program_fail_prob": 0.0,
+    "erase_fail_prob": 0.0,
+    "events": [
+        {"kind": "plane_outage", "chip": chip, "plane": 0, "at_time_us": 30000.0}
+        for chip in range(4)
+    ],
+}
+
+
+class TestUnmappedReads:
+    def test_ftl_summary_key_only_when_nonzero(self):
+        from repro.ftl.metrics import FtlMetrics
+
+        metrics = FtlMetrics()
+        assert "unmapped_reads" not in metrics.summary()
+        metrics.unmapped_reads = 3
+        assert metrics.summary()["unmapped_reads"] == 3.0
+
+    def test_chaos_fleet_counts_reads_answered_without_data(self, capsys, tmp_path):
+        plan = tmp_path / "outage.json"
+        plan.write_text(json.dumps(_FLEET_OUTAGE_PLAN))
+        summary = tmp_path / "fleet.json"
+        argv = [
+            "fleet", "--seed", "7", "--faults", f"@{plan}", "--summary", str(summary),
+        ]
+        # counted, not failed: the fleet still acks these reads
+        assert main(argv) == 0
+        assert "unmapped_reads=54" in capsys.readouterr().out
+        doc = json.loads(summary.read_text())
+        assert doc["counters"]["unmapped_reads"] == 54
+        assert doc["counters"]["failed"] == 0
+        assert sum(row["unmapped_reads"] for row in doc["devices"]) == 54
+
+    def test_fault_free_fleet_has_no_unmapped_reads(self, capsys, tmp_path):
+        summary = tmp_path / "fleet.json"
+        assert main(["fleet", "--seed", "7", "--summary", str(summary)]) == 0
+        assert "unmapped_reads=0" in capsys.readouterr().out
+        doc = json.loads(summary.read_text())
+        assert doc["counters"]["unmapped_reads"] == 0
+        assert all(row["unmapped_reads"] == 0 for row in doc["devices"])
+
+    def test_device_chaos_run_prints_no_new_key(self, capsys, tmp_path):
+        summary = tmp_path / "run.json"
+        argv = [
+            "run", "--seed", "7", "--requests", "1200", "--blocks", "40",
+            "--chips", "4", "--faults", "program=0.004,erase=0.002",
+            "--summary", str(summary),
+        ]
+        assert main(argv) == 0
+        assert "unmapped" not in capsys.readouterr().out
+        assert "unmapped_reads" not in json.loads(summary.read_text())["ftl"]
+
+
 class TestSweepCommand:
     SMALL = ["--blocks", "10", "--chips", "2", "--seed", "3"]
 
@@ -400,6 +456,39 @@ class TestSweepCommand:
         assert all(cell["provenance"] == "cache" for cell in doc["cells"])
 
 
+_DET011_VIOLATION = textwrap.dedent(
+    """\
+    import os
+
+
+    def trace_names(root):
+        out = []
+        for name in os.listdir(root):
+            out.append(name)
+        return out
+    """
+)
+
+
+def _commit_all(tmp_path):
+    """``git init`` + commit everything under ``tmp_path``."""
+    import subprocess
+
+    env = {
+        "GIT_AUTHOR_NAME": "t",
+        "GIT_AUTHOR_EMAIL": "t@t",
+        "GIT_COMMITTER_NAME": "t",
+        "GIT_COMMITTER_EMAIL": "t@t",
+        "HOME": str(tmp_path),
+    }
+    for command in (
+        ["git", "init", "-q"],
+        ["git", "add", "-A"],
+        ["git", "commit", "-q", "-m", "seed"],
+    ):
+        subprocess.run(command, cwd=tmp_path, check=True, env=env)
+
+
 class TestLintCommand:
     def test_lint_clean_repo_exits_zero(self, capsys):
         assert main(["lint", "src", "benchmarks", "examples", "tools"]) == 0
@@ -457,97 +546,95 @@ class TestLintCommand:
         assert main(["lint", "no/such/dir"]) == 2
         assert "no such path" in capsys.readouterr().err
 
+    def test_lint_reports_whole_program_finding(self, capsys, tmp_path):
+        path = _seeded_tree(tmp_path, "manifest.py", _DET011_VIOLATION)
+        assert main(["lint", str(path)]) == 1
+        assert "DET011" in capsys.readouterr().out
 
-_DEEP_VIOLATION = textwrap.dedent(
-    """\
-    import os
-
-
-    def trace_names(root):
-        out = []
-        for name in os.listdir(root):
-            out.append(name)
-        return out
-    """
-)
-
-
-class TestDeepLintCommand:
-    def test_deep_repo_clean_with_empty_baseline(self, capsys):
-        # The repo is deep-clean outright: the baseline grandfathers nothing.
-        assert main(["lint", "--deep"]) == 0
-        out = capsys.readouterr().out
-        assert "reprolint: clean" in out
-        assert "grandfathered" not in out
-
-    def test_baseline_fully_burned_down(self):
-        import json as _json
-        from pathlib import Path
-
-        baseline = _json.loads(
-            (Path(__file__).parent.parent / "tools" / "reprolint_baseline.json")
-            .read_text()
-        )
-        assert baseline["findings"] == {}
-
-    def test_deep_flags_dataflow_finding(self, capsys, tmp_path):
-        path = _seeded_tree(tmp_path, "manifest.py", _DEEP_VIOLATION)
-        assert main(["lint", str(path), "--deep"]) == 1
-        out = capsys.readouterr().out
-        assert "DET011" in out
-
-    def test_deep_json_output_lists_dataflow_finding(self, capsys, tmp_path):
-        path = _seeded_tree(tmp_path, "manifest.py", _DEEP_VIOLATION)
-        assert main(["lint", str(path), "--deep", "--format", "json"]) == 1
+    def test_lint_json_lists_whole_program_finding(self, capsys, tmp_path):
+        path = _seeded_tree(tmp_path, "manifest.py", _DET011_VIOLATION)
+        assert main(["lint", str(path), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == len(payload["findings"])
         det011 = [f for f in payload["findings"] if f["code"] == "DET011"]
         assert det011
         assert all(f["path"].endswith("manifest.py") for f in det011)
 
-    def test_write_baseline_then_clean(self, capsys, tmp_path):
-        path = _seeded_tree(tmp_path, "manifest.py", _DEEP_VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        argv = ["lint", str(path), "--deep", "--baseline", str(baseline)]
-        assert main(argv + ["--write-baseline"]) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(argv) == 0
+    def test_one_call_runs_both_kinds_of_rule(self, capsys, tmp_path):
+        rng_violation = "import numpy as np\nr = np.random.default_rng(7)\n"
+        path = _seeded_tree(tmp_path, "mixed.py", rng_violation + _DET011_VIOLATION)
+        assert main(["lint", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "reprolint: clean" in out
-        assert "grandfathered" in out
+        assert "RNG003" in out and "DET011" in out
+
+    def test_parse_error_does_not_hide_whole_program_findings(self, capsys, tmp_path):
+        path = _seeded_tree(tmp_path, "manifest.py", _DET011_VIOLATION)
+        (path.parent / "broken.py").write_text("def broken(:\n")
+        assert main(["lint", str(path.parent)]) == 1
+        out = capsys.readouterr().out
+        assert "broken.py" in out and "PARSE" in out
+        assert "manifest.py" in out and "DET011" in out
+
+    def test_files_sharing_a_module_name_are_each_checked(self, capsys, tmp_path):
+        # outside the cwd both files are named "pkg.util"; the per-file rules
+        # must still see each of them
+        for tree in ("a", "b"):
+            (tmp_path / tree / "pkg").mkdir(parents=True)
+            (tmp_path / tree / "pkg" / "util.py").write_text(
+                "def f(items=[]):\n    return items\n"
+            )
+        assert main(["lint", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().out.count("NUM002") == 2
+
+    def test_each_file_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        import ast
+        from collections import Counter
+        from pathlib import Path
+
+        path = _seeded_tree(tmp_path, "manifest.py", _DET011_VIOLATION)
+        (path.parent / "helper.py").write_text("def helper():\n    return 1\n")
+        parses = Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses[Path(filename).name] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["lint", str(path.parent)]) == 1
+        assert "DET011" in capsys.readouterr().out
+        assert parses == {"helper.py": 1, "manifest.py": 1}
 
     def test_changed_outside_git_exits_two(self, tmp_path, monkeypatch, capsys):
-        _seeded_tree(tmp_path, "manifest.py", _DEEP_VIOLATION)
+        _seeded_tree(tmp_path, "manifest.py", _DET011_VIOLATION)
         monkeypatch.chdir(tmp_path)
-        assert main(["lint", "src", "--deep", "--changed"]) == 2
+        assert main(["lint", "src", "--changed"]) == 2
         assert "git checkout" in capsys.readouterr().err
 
     def test_changed_filters_to_dirty_files(self, tmp_path, monkeypatch, capsys):
-        import subprocess
-
-        path = _seeded_tree(tmp_path, "manifest.py", _DEEP_VIOLATION)
-        env = {
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(tmp_path),
-        }
-        for command in (
-            ["git", "init", "-q"],
-            ["git", "add", "-A"],
-            ["git", "commit", "-q", "-m", "seed"],
-        ):
-            subprocess.run(command, cwd=tmp_path, check=True, env=env)
+        path = _seeded_tree(tmp_path, "manifest.py", _DET011_VIOLATION)
+        _commit_all(tmp_path)
         monkeypatch.chdir(tmp_path)
         # the only violation is committed, so --changed filters it out
-        assert main(["lint", "src", "--deep", "--changed"]) == 0
+        assert main(["lint", "src", "--changed"]) == 0
         capsys.readouterr()
         # a fresh (untracked) violating file is reported
         dirty = path.parent / "fresh.py"
-        dirty.write_text(_DEEP_VIOLATION)
-        assert main(["lint", "src", "--deep", "--changed"]) == 1
+        dirty.write_text(_DET011_VIOLATION)
+        assert main(["lint", "src", "--changed"]) == 1
         out = capsys.readouterr().out
         assert "fresh.py" in out
         assert "manifest.py" not in out
+
+    def test_changed_from_subdirectory_sees_edited_tracked_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # git diff names files from the repo top; findings name them from
+        # the cwd.  Below the top the two must still meet.
+        path = _seeded_tree(tmp_path, "units.py", "SCALE = 2\n")
+        _commit_all(tmp_path)
+        path.write_text("import time\nSCALE = 2\nSTAMP = time.time()\n")
+        monkeypatch.chdir(tmp_path / "src")
+        assert main(["lint", "repro", "--changed"]) == 1
+        out = capsys.readouterr().out
+        assert "DET001" in out and "units.py" in out

@@ -97,6 +97,9 @@ class TestExitTwo:
             ),
             (["lint", "--format", "sarif"], "invalid choice"),
             (["lint", "--vector-report"], "unrecognized arguments"),
+            (["lint", "--deep"], "unrecognized arguments"),
+            (["lint", "--baseline", "x.json"], "unrecognized arguments"),
+            (["lint", "--write-baseline"], "unrecognized arguments"),
         ],
         ids=[
             "sweep-bad-over",
@@ -113,6 +116,9 @@ class TestExitTwo:
             "sweep-retired-repair-alias",
             "lint-retired-sarif-format",
             "lint-retired-vector-report",
+            "lint-retired-deep",
+            "lint-retired-baseline",
+            "lint-retired-write-baseline",
         ],
     )
     def test_usage_errors_exit_two(self, argv, needle, capsys):

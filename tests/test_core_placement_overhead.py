@@ -11,42 +11,33 @@ from repro.core.overhead import (
     str_med_pair_checks,
 )
 from repro.core.placement import (
-    DEFAULT_POLICY,
-    UNIFORM_POLICY,
-    PlacementPolicy,
     WriteIntent,
     WriteSource,
+    prefers_fast_superpage,
+    speed_class_for,
 )
 from repro.nand import PAPER_GEOMETRY
 from repro.utils.units import TIB
 
 
 class TestPlacement:
-    def test_default_routing(self):
-        assert DEFAULT_POLICY.classify(WriteIntent(WriteSource.HOST)) is SpeedClass.FAST
-        assert DEFAULT_POLICY.classify(WriteIntent(WriteSource.GC)) is SpeedClass.SLOW
-        assert (
-            DEFAULT_POLICY.classify(WriteIntent(WriteSource.METADATA))
-            is SpeedClass.SLOW
-        )
-
-    def test_uniform_routing(self):
-        assert UNIFORM_POLICY.classify(WriteIntent(WriteSource.GC)) is SpeedClass.FAST
+    def test_routing_by_write_source(self):
+        assert speed_class_for(WriteIntent(WriteSource.HOST)) is SpeedClass.FAST
+        assert speed_class_for(WriteIntent(WriteSource.GC)) is SpeedClass.SLOW
+        assert speed_class_for(WriteIntent(WriteSource.METADATA)) is SpeedClass.SLOW
 
     def test_superpage_steering(self):
-        policy = PlacementPolicy(small_write_page_limit=4)
-        assert policy.prefers_fast_superpage(
-            WriteIntent(WriteSource.HOST, pages=2, sequential=False)
-        )
-        assert not policy.prefers_fast_superpage(
+        # small random host writes (up to 8 pages) prefer fast superpages
+        assert prefers_fast_superpage(
             WriteIntent(WriteSource.HOST, pages=8, sequential=False)
         )
-        assert not policy.prefers_fast_superpage(
+        assert not prefers_fast_superpage(
+            WriteIntent(WriteSource.HOST, pages=9, sequential=False)
+        )
+        assert not prefers_fast_superpage(
             WriteIntent(WriteSource.HOST, pages=2, sequential=True)
         )
-        assert not policy.prefers_fast_superpage(
-            WriteIntent(WriteSource.GC, pages=1)
-        )
+        assert not prefers_fast_superpage(WriteIntent(WriteSource.GC, pages=1))
 
 
 class TestComputingOverhead:

@@ -1,9 +1,10 @@
-"""The runnable walkthroughs and the README quickstart keep running.
+"""Walkthroughs, the README quickstart and the benches keep running.
 
 ``examples/`` is linted elsewhere; here each fast example runs end to end
 in its own interpreter, and the README's first python block is executed as
 written.  ``sweep_policies.py`` (~30 s) and ``ftl_trace_replay.py`` (writes
-a trace file) are left to manual runs.
+a trace file) are left to manual runs.  Every ``benchmarks/bench_*.py`` must
+be named by some CI step, or nothing runs it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def _run(args: List[str]) -> subprocess.CompletedProcess:
         text=True,
         timeout=300,
     )
+
+
+def test_every_bench_runs_in_ci() -> None:
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    benches = sorted(path.name for path in (ROOT / "benchmarks").glob("bench_*.py"))
+    missing = [name for name in benches if f"benchmarks/{name}" not in ci]
+    assert benches and not missing, f"no CI step runs {missing}"
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)

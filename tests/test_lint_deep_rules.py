@@ -1,8 +1,8 @@
-"""Positive/negative fixtures for every deep (whole-program) rule code.
+"""Positive/negative fixtures for every whole-program rule code.
 
 Each of RNG010-012, DET010-012 and PROC001-003 has at least one fixture
-that fires and one that stays silent, plus suite-level checks for the
-deep-specific suppression and dedupe semantics.
+that fires and one that stays silent, plus suite-level checks that these
+findings obey the one line-scoped suppression rule and are deduped.
 """
 
 from __future__ import annotations
@@ -10,12 +10,11 @@ from __future__ import annotations
 import textwrap
 from typing import Dict, List
 
-from repro.lint.deep import deep_codes, run_deep_sources
-from repro.lint.findings import Finding
+from repro.lint import Finding, ProgramRule, all_rules, lint_sources
 
 
 def run(sources: Dict[str, str]) -> List[Finding]:
-    return run_deep_sources(
+    return lint_sources(
         {module: textwrap.dedent(source) for module, source in sources.items()}
     )
 
@@ -24,8 +23,8 @@ def codes(findings: List[Finding]) -> List[str]:
     return [finding.code for finding in findings]
 
 
-def test_all_nine_deep_codes_are_registered() -> None:
-    assert deep_codes() == [
+def test_all_nine_whole_program_codes_are_registered() -> None:
+    assert [rule.code for rule in all_rules() if isinstance(rule, ProgramRule)] == [
         "DET010",
         "DET011",
         "DET012",
@@ -459,49 +458,40 @@ def test_proc003_silent_outside_worker_cone() -> None:
 # ------------------------------------------------- suppression + dedupe
 
 
-def test_def_line_suppression_covers_function_body_for_deep_findings() -> None:
+def test_own_line_directive_silences_whole_program_finding() -> None:
     findings = run(
         {
-            "repro.fx.manifest": """
-            import os
+            "repro.fx.sim": """
+            import time
 
-            # pinned upstream by the producer; order is irrelevant here
-            def trace_names(root):  # reprolint: disable=DET011
-                out = []
-                for name in os.listdir(root):
-                    out.append(name)
-                return out
+            class Sim:
+                def tick(self):
+                    # fixture: the stamp is never compared across runs
+                    self.started_at = time.time()  # reprolint: disable=DET010
             """
         }
     )
-    assert "DET011" not in codes(findings)
+    assert "DET010" not in codes(findings)
+    # the directive is code-specific: the per-file DET001 on that line stays
+    assert codes(findings) == ["DET001"]
 
 
-def test_decorator_line_suppression_covers_function_body() -> None:
+def test_def_line_directive_does_not_cover_function_body() -> None:
+    # A directive covers its own line only, for whole-program findings too:
+    # on the enclosing def or decorator line it silences nothing inside.
     findings = run(
         {
-            "repro.fx.model": """
-            _MODEL = None
+            "repro.fx.sim": """
+            import time
 
-            def worker_entrypoint(fn):
-                return fn
-
-            def get_model():
-                global _MODEL
-                if _MODEL is None:
-                    _MODEL = object()
-                return _MODEL
-
-            # the singleton is process-local scratch, never part of results
-            @worker_entrypoint  # reprolint: disable=PROC003
-            def cell(payload):
-                return get_model()
+            class Sim:
+                # fixture: the stamp is never compared across runs
+                def tick(self):  # reprolint: disable=DET010
+                    self.started_at = time.time()
             """
         }
     )
-    # the finding anchors inside get_model, which the directive does NOT
-    # cover — but a directive on get_model's def line does:
-    assert "PROC003" in codes(findings)
+    assert ("DET010", 7) in [(f.code, f.line) for f in findings]
     findings = run(
         {
             "repro.fx.model": """
@@ -511,19 +501,16 @@ def test_decorator_line_suppression_covers_function_body() -> None:
                 return fn
 
             # process-local scratch, never part of results
+            @worker_entrypoint  # reprolint: disable=PROC003
             def get_model():  # reprolint: disable=PROC003
                 global _MODEL
                 if _MODEL is None:
                     _MODEL = object()
                 return _MODEL
-
-            @worker_entrypoint
-            def cell(payload):
-                return get_model()
             """
         }
     )
-    assert "PROC003" not in codes(findings)
+    assert "PROC003" in codes(findings)
 
 
 def test_findings_via_two_call_paths_are_deduped() -> None:
@@ -546,3 +533,19 @@ def test_findings_via_two_call_paths_are_deduped() -> None:
     )
     det = [finding for finding in findings if finding.code == "DET010"]
     assert len(det) == 1
+
+
+def test_two_passes_over_one_program_agree() -> None:
+    # rule instances are fresh per pass, so nothing carries over between runs
+    sources = {
+        "repro.fx.sim": """
+        import time
+
+        class Sim:
+            def stamp(self):
+                self.t = time.time()
+        """
+    }
+    first = run(sources)
+    assert first == run(sources)
+    assert {"DET001", "DET010"} <= set(codes(first))

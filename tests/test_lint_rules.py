@@ -9,8 +9,9 @@ from typing import List
 
 import pytest
 
-from repro.lint import Finding, all_rules, get_rule, lint_source
-from repro.lint.engine import module_name_for
+from repro.lint import Finding, all_rules, get_rule, lint_sources
+from repro.lint.project import module_name_for
+from repro.lint.registry import known_codes
 from repro.lint.layers import is_allowed_import, layer_of
 from repro.lint.suppressions import parse_suppressions
 
@@ -20,13 +21,14 @@ def codes(findings: List[Finding]) -> List[str]:
 
 
 def run(source: str, module: str = "repro.ftl.ftl") -> List[Finding]:
-    return lint_source(textwrap.dedent(source), path="fixture.py", module=module)
+    return lint_sources({module: textwrap.dedent(source)})
 
 
 # ---------------------------------------------------------------- registry
 
 
 def test_registry_has_all_rule_families() -> None:
+    # one registry holds the per-file and the whole-program rules alike
     registered = {rule.code for rule in all_rules()}
     assert registered == {
         "RNG001",
@@ -40,7 +42,17 @@ def test_registry_has_all_rule_families() -> None:
         "NUM001",
         "NUM002",
         "OBS001",
+        "RNG010",
+        "RNG011",
+        "RNG012",
+        "DET010",
+        "DET011",
+        "DET012",
+        "PROC001",
+        "PROC002",
+        "PROC003",
     }
+    assert known_codes() == sorted(registered)
 
 
 def test_get_rule_unknown_code_raises() -> None:
@@ -60,7 +72,7 @@ def test_rng001_clean_on_numpy_and_rng_home() -> None:
     assert "RNG001" not in codes(run("import numpy as np\n"))
     # the RNG home module itself is exempt
     assert "RNG001" not in codes(
-        lint_source("import random\n", module="repro.utils.rng")
+        run("import random\n", module="repro.utils.rng")
     )
 
 
@@ -181,7 +193,7 @@ def test_det001_flags_wall_clock_in_simulator() -> None:
 def test_det001_scoped_to_repro_package() -> None:
     # tools/ and benchmarks/ may measure wall time.
     assert "DET001" not in codes(
-        lint_source("import time\nt = time.time()\n", module="tools.report")
+        run("import time\nt = time.time()\n", module="tools.report")
     )
 
 
@@ -227,7 +239,7 @@ def test_det002_allows_sorted_sets() -> None:
 
 
 def test_lay001_flags_inverted_edge() -> None:
-    findings = lint_source(
+    findings = run(
         "from repro.ftl.ftl import Ftl\n", module="repro.nand.chip"
     )
     assert "LAY001" in codes(findings)
@@ -235,17 +247,17 @@ def test_lay001_flags_inverted_edge() -> None:
 
 def test_lay001_allows_downward_edge_and_exceptions() -> None:
     assert "LAY001" not in codes(
-        lint_source("from repro.nand.chip import FlashChip\n", module="repro.ftl.ftl")
+        run("from repro.nand.chip import FlashChip\n", module="repro.ftl.ftl")
     )
     # the reviewed data-model exception
     assert "LAY001" not in codes(
-        lint_source(
+        run(
             "from repro.workloads.model import Request\n", module="repro.ssd.device"
         )
     )
     # but the rest of workloads stays off-limits to ssd
     assert "LAY001" in codes(
-        lint_source(
+        run(
             "from repro.workloads.replay import Replayer\n", module="repro.ssd.device"
         )
     )
@@ -258,7 +270,7 @@ def test_lay001_type_checking_imports_exempt() -> None:
             from repro.ssd.device import Ssd
     """
     assert "LAY001" not in codes(
-        lint_source(textwrap.dedent(source), module="repro.workloads.replay")
+        run(textwrap.dedent(source), module="repro.workloads.replay")
     )
 
 
@@ -303,7 +315,7 @@ def test_line_suppression_silences_only_that_line() -> None:
         "a = np.random.default_rng(1)  # reprolint: disable=RNG003\n"
         "b = np.random.default_rng(2)\n"
     )
-    findings = lint_source(source, module="repro.ftl.ftl")
+    findings = run(source, module="repro.ftl.ftl")
     assert codes(findings).count("RNG003") == 1
     assert findings[0].line == 3
 
@@ -315,12 +327,12 @@ def test_file_suppression_silences_whole_file() -> None:
         "a = np.random.default_rng(1)\n"
         "b = np.random.default_rng(2)\n"
     )
-    assert "RNG003" not in codes(lint_source(source, module="repro.ftl.ftl"))
+    assert "RNG003" not in codes(run(source, module="repro.ftl.ftl"))
 
 
 def test_suppression_is_code_specific() -> None:
     source = "import random  # reprolint: disable=DET001\n"
-    assert "RNG001" in codes(lint_source(source, module="repro.ftl.ftl"))
+    assert "RNG001" in codes(run(source, module="repro.ftl.ftl"))
 
 
 def test_parse_suppressions_multiple_codes() -> None:
@@ -405,7 +417,7 @@ def test_module_name_for_src_layout(tmp_path) -> None:
 
 
 def test_syntax_error_reported_as_parse_finding() -> None:
-    findings = lint_source("def broken(:\n", module="repro.ftl.ftl")
+    findings = run("def broken(:\n", module="repro.ftl.ftl")
     assert codes(findings) == ["PARSE"]
 
 
@@ -415,7 +427,7 @@ def test_findings_sorted_and_json_roundtrip() -> None:
     from repro.lint import render_json, render_text
 
     source = "import random\nimport numpy as np\nr = np.random.default_rng(3)\n"
-    findings = lint_source(source, module="repro.ftl.ftl")
+    findings = run(source, module="repro.ftl.ftl")
     assert findings == sorted(findings)
     payload = json.loads(render_json(findings))
     assert payload["count"] == len(findings) >= 2

@@ -1,7 +1,8 @@
-"""The live repository must be reprolint-clean.
+"""The live repository must be reprolint-clean under all 20 rules.
 
 This is the PR gate in miniature: if a change reintroduces an unseeded RNG,
-a wall-clock read, a layering inversion, or a unit-hygiene slip anywhere in
+a wall-clock read or value flowing into state, a layering inversion, a
+process-safety slip, or a unit-hygiene slip anywhere in
 ``src``/``benchmarks``/``examples``/``tools``, this test fails with the same
 report ``repro lint`` prints.
 """
@@ -16,8 +17,8 @@ from typing import List
 import pytest
 
 from repro.lint import lint_paths, render_text
-from repro.lint.engine import iter_python_files
 from repro.lint.layers import LAYER_DEPENDENCIES
+from repro.lint.project import iter_python_files
 from repro.lint.suppressions import directive_lines
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
