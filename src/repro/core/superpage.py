@@ -37,6 +37,7 @@ class SuperpagePredictor:
         self._bit_sum: Dict[int, np.ndarray] = {lane: np.zeros(2) for lane in lanes}
         self._bit_count: Dict[int, np.ndarray] = {lane: np.zeros(2) for lane in lanes}
         self.observations = 0
+        self._ready = False
 
     # -- learning -----------------------------------------------------------
 
@@ -85,22 +86,28 @@ class SuperpagePredictor:
             return 0.0
         return float(self._sum[lane].sum() / total)
 
+    # The two per-prediction lookups below run in Python floats: the same
+    # IEEE divisions and subtractions as on numpy scalars, in the same order
+    # (a two-element ``.sum()`` is the one addition ``a + b``).
+
     def lane_curve_value(self, lane: int, lwl: int) -> float:
         """Learned mean latency of this LWL position on this lane."""
         self._geometry.check_lwl(lwl)
-        count = self._count[lane][lwl]
+        count = self._count[lane].item(lwl)
         if count == 0:
             return self._lane_mean(lane)
-        return float(self._sum[lane][lwl] / count)
+        return self._sum[lane].item(lwl) / count
 
     def bit_adjustment(self, lane: int, eigen_bit: int) -> float:
         """Learned offset of bit-0 (fast) / bit-1 (slow) word-lines vs the mean."""
-        counts = self._bit_count[lane]
-        if counts[eigen_bit] == 0 or counts.sum() == 0:
+        counts = self._bit_count[lane].tolist()
+        total = counts[0] + counts[1]
+        if counts[eigen_bit] == 0 or total == 0:
             return 0.0
-        bit_mean = self._bit_sum[lane][eigen_bit] / counts[eigen_bit]
-        overall = self._bit_sum[lane].sum() / counts.sum()
-        return float(bit_mean - overall)
+        sums = self._bit_sum[lane].tolist()
+        bit_mean = sums[eigen_bit] / counts[eigen_bit]
+        overall = (sums[0] + sums[1]) / total
+        return bit_mean - overall
 
     def predict_member(self, record: BlockRecord, lwl: int) -> float:
         """Predicted tPROG of one member block's word-line."""
@@ -115,5 +122,10 @@ class SuperpagePredictor:
         return max(self.predict_member(record, lwl) for record in members)
 
     def ready(self) -> bool:
-        """True once every lane has at least some observations."""
-        return all(counts.sum() > 0 for counts in self._count.values())
+        """True once every lane has at least some observations.
+
+        Counts only grow, so the answer latches once it is true.
+        """
+        if not self._ready:
+            self._ready = all(counts.sum() > 0 for counts in self._count.values())
+        return self._ready

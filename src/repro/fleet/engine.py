@@ -44,7 +44,7 @@ from repro.fleet.tenants import TenantRequest, fleet_workload, tenant_profile
 from repro.ftl.ftl import IntegrityError, OutOfSpaceError, RepairExhaustedError
 from repro.nand.errors import FlashError
 from repro.obs.histograms import LatencyStat
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.ssd.device import Ssd
 from repro.utils.rng import derive_seed
@@ -102,6 +102,7 @@ class _DeviceState:
         "submissions",
         "read_service",
         "_inflight",
+        "_injectors",
         "_seen_faults",
     )
 
@@ -118,6 +119,10 @@ class _DeviceState:
         #: threshold is this histogram's configured quantile.
         self.read_service = read_service
         self._inflight: List[float] = []
+        # Injectors are fixed when the chips are built; most devices have none.
+        self._injectors = tuple(
+            chip.injector for chip in ssd.ftl.chips.values() if chip.injector.enabled
+        )
         self._seen_faults = (0, 0, 0, 0)
 
     @property
@@ -134,10 +139,7 @@ class _DeviceState:
 
     def fault_totals(self) -> Tuple[int, int, int, int]:
         prog = erase = storm = outage = 0
-        for chip in self.ssd.ftl.chips.values():
-            injector = chip.injector
-            if not injector.enabled:
-                continue
+        for injector in self._injectors:
             prog += injector.injected_program_fails
             erase += injector.injected_erase_fails
             storm += injector.injected_read_storms
@@ -145,6 +147,8 @@ class _DeviceState:
         return (prog, erase, storm, outage)
 
     def fault_deltas(self) -> Tuple[int, int, int, int]:
+        if not self._injectors:
+            return (0, 0, 0, 0)
         totals = self.fault_totals()
         deltas = tuple(t - s for t, s in zip(totals, self._seen_faults))
         self._seen_faults = totals
@@ -277,14 +281,43 @@ class FleetSim:
         self._max_attempts = fleet.max_retries + fleet.devices + 2
         self._elapsed_us = 0.0
         self._requests = 0
+        #: the devices not ejected, in index order (``_eject`` rebuilds it)
+        self._survivors: List[_DeviceState] = list(self.devices)
+        # Registry entries bound on first use, so the registry still creates
+        # them in serving order and hands back whatever object it chose.
+        self._counters: Dict[Any, Counter] = {}
+        self._histograms: Dict[Any, LatencyStat] = {}
 
     # -- small helpers -----------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
-        self.registry.counter(f"fleet.{name}").inc(amount)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(f"fleet.{name}")
+        counter.inc(amount)
 
     def _tenant_count(self, tenant: int, name: str) -> None:
-        self.registry.counter(f"fleet.tenant{tenant:03d}.{name}").inc()
+        key = (tenant, name)
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = self.registry.counter(
+                f"fleet.tenant{tenant:03d}.{name}"
+            )
+        counter.inc()
+
+    def _latency(self, name: str) -> LatencyStat:
+        stat = self._histograms.get(name)
+        if stat is None:
+            stat = self._histograms[name] = self.registry.histogram(f"fleet.{name}")
+        return stat
+
+    def _tenant_latency(self, tenant: int) -> LatencyStat:
+        stat = self._histograms.get(tenant)
+        if stat is None:
+            stat = self._histograms[tenant] = self.registry.histogram(
+                f"fleet.tenant{tenant:03d}.latency_us"
+            )
+        return stat
 
     _DISPATCH = 0
     _HEDGE = 1
@@ -293,12 +326,9 @@ class FleetSim:
         self._seq += 1
         heapq.heappush(self._heap, (time_us, self._seq, kind, payload))
 
-    def _healthy(self) -> List[_DeviceState]:
-        return [dev for dev in self.devices if not dev.ejected]
-
     def _candidates(self, tenant: int) -> List[_DeviceState]:
         """The tenant's current replica set (primary first)."""
-        healthy = self._healthy()
+        healthy = self._survivors
         if not healthy:
             return []
         width = min(self.fleet.replicas, len(healthy))
@@ -383,6 +413,7 @@ class FleetSim:
         if dev.ejected:
             return
         dev.ejected = True
+        self._survivors = [d for d in self.devices if not d.ejected]
         self._count("ejections")
         if self.tracer.enabled:
             self.tracer.instant(
@@ -399,7 +430,7 @@ class FleetSim:
                 "fleet.shard",
                 ts_us=now_us,
                 track="fleet",
-                healthy=[d.index for d in self._healthy()],
+                healthy=[d.index for d in self._survivors],
             )
 
     # -- submission --------------------------------------------------------
@@ -597,7 +628,7 @@ class FleetSim:
                 )
             self._push(retry_at, self._DISPATCH, req)
             return
-        healthy = self._healthy()
+        healthy = self._survivors
         if not healthy:
             self._fail(req, now_us)
             return
@@ -615,7 +646,7 @@ class FleetSim:
         self._after_attempt(req, now_us, completion)
 
     def _retry_after_fault(self, req: _RequestState, now_us: float) -> None:
-        if req.attempts >= self._max_attempts or not self._healthy():
+        if req.attempts >= self._max_attempts or not self._survivors:
             self._fail(req, now_us)
             return
         self._push(
@@ -629,16 +660,14 @@ class FleetSim:
         self._elapsed_us = max(self._elapsed_us, completion_us)
         self._count("acked")
         self._tenant_count(req.tenant, "acked")
-        self.registry.histogram("fleet.latency_us").add(latency)
-        self.registry.histogram(
-            f"fleet.tenant{req.tenant:03d}.latency_us"
-        ).add(latency)
+        self._latency("latency_us").add(latency)
+        self._tenant_latency(req.tenant).add(latency)
         if req.op is OpKind.READ:
             self._count("reads")
-            self.registry.histogram("fleet.read_latency_us").add(latency)
+            self._latency("read_latency_us").add(latency)
         else:
             self._count("writes")
-            self.registry.histogram("fleet.write_latency_us").add(latency)
+            self._latency("write_latency_us").add(latency)
         if self.tracer.enabled:
             self.tracer.complete(
                 "fleet_request",

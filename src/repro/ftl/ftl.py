@@ -99,6 +99,9 @@ class ReadResult:
     located: bool
     latency_us: float
     buffer_hit: bool = False
+    #: the superblock member whose chip sensed the page (``None`` when no
+    #: flash read happened: an unmapped page or a write-buffer hit)
+    member: Optional[BlockRecord] = None
 
 
 class Ftl:
@@ -768,7 +771,9 @@ class Ftl:
             )
         self.metrics.pages_read += 1
         self.metrics.host_read_us.add(latency)
-        return ReadResult(lpn=lpn, located=True, latency_us=latency)
+        return ReadResult(
+            lpn=lpn, located=True, latency_us=latency, member=sb.members[slot.lane_index]
+        )
 
     def _read_physical(
         self, sb: ManagedSuperblock, slot: SlotLocation, slot_index: int
@@ -912,7 +917,7 @@ class Ftl:
         # so no mapping still points into the victim when it is erased.
         gc_class = speed_class_for(WriteIntent(source=WriteSource.GC))
         gc_stream = WriteStream.SLOW if gc_class is SpeedClass.SLOW else WriteStream.FAST
-        for slot, lpn in self.mapper.valid_slots(victim.sb_id):
+        for slot, lpn in self.mapper.valid_slots(victim.sb_id, victim.capacity_pages):
             location = victim.slot_location(slot)
             payload, latency = self._read_physical(victim, location, slot)
             if payload != lpn:

@@ -103,14 +103,18 @@ class PageMapper:
     def valid_count(self, superblock_id: int) -> int:
         return self._valid_count.get(superblock_id, 0)
 
-    def valid_slots(self, superblock_id: int) -> List[Tuple[int, int]]:
-        """``(slot, lpn)`` pairs still valid in a superblock, slot order."""
-        pairs = [
-            (slot, lpn)
-            for (sb, slot), lpn in self._p2l.items()
-            if sb == superblock_id
-        ]
-        pairs.sort()
+    def valid_slots(self, superblock_id: int, slot_count: int) -> List[Tuple[int, int]]:
+        """``(slot, lpn)`` pairs still valid in a superblock, slot order.
+
+        Probes the superblock's own ``slot_count`` slots rather than
+        scanning the whole device's reverse map.
+        """
+        p2l = self._p2l
+        pairs: List[Tuple[int, int]] = []
+        for slot in range(slot_count):
+            lpn = p2l.get((superblock_id, slot))
+            if lpn is not None:
+                pairs.append((slot, lpn))
         return pairs
 
     @property

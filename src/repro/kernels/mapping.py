@@ -258,8 +258,12 @@ class ArrayPageMapper(PageMapper):
             return None
         return int(slots[slot])
 
-    def valid_slots(self, superblock_id: int) -> List[Tuple[int, int]]:
-        """``(slot, lpn)`` pairs still valid in a superblock, slot order."""
+    def valid_slots(self, superblock_id: int, slot_count: int) -> List[Tuple[int, int]]:
+        """``(slot, lpn)`` pairs still valid in a superblock, slot order.
+
+        ``slot_count`` is the scalar mapper's probe bound; this mapper keeps
+        one slot array per superblock and scans that.
+        """
         slots = self._sb_slots.get(superblock_id)
         if slots is None:
             return []

@@ -72,6 +72,39 @@ def module_name_for(path: Path, root: Optional[Path] = None) -> str:
     return ".".join(parts[-2:]) if len(parts) >= 2 else ".".join(parts)
 
 
+def unique_module_names(
+    paths: Sequence[Path], root: Optional[Path] = None
+) -> List[str]:
+    """:func:`module_name_for` of each path, made unique per path.
+
+    Files that would share a name (``a/pkg/util.py`` and ``b/pkg/util.py``
+    outside ``root`` both map to ``pkg.util``) each take one more leading
+    part of their resolved path until their names differ, so every file
+    resolves through its own module — whatever order the paths came in.
+    Two ``src/repro`` checkouts lose their ``repro`` head this way, and with
+    it the repro-scoped rules: lint each checkout in its own pass.
+    """
+    names = [module_name_for(path, root) for path in paths]
+    while True:
+        holders: Dict[str, List[int]] = {}
+        for index, name in enumerate(names):
+            holders.setdefault(name, []).append(index)
+        changed = False
+        for indices in holders.values():
+            if len(indices) < 2:
+                continue
+            for index in indices:
+                parts = list(paths[index].resolve().with_suffix("").parts[1:])
+                if parts and parts[-1] == "__init__":
+                    parts = parts[:-1]
+                longer = ".".join(parts[-(names[index].count(".") + 2):])
+                if longer != names[index]:
+                    names[index] = longer
+                    changed = True
+        if not changed:
+            return names
+
+
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
     """Expand files/directories into a sorted stream of ``.py`` files."""
     seen: Set[str] = set()
@@ -234,19 +267,21 @@ class Project:
         cls, paths: Sequence[Path], root: Optional[Path] = None
     ) -> "Project":
         """Parse every ``.py`` file under ``paths`` into one project."""
-        project = cls()
+        files: List[Tuple[Path, str]] = []
         for path in iter_python_files(list(paths)):
+            try:
+                files.append((path, path.read_text(encoding="utf-8")))
+            except OSError:
+                continue
+        modules = unique_module_names([path for path, _ in files], root)
+        project = cls()
+        for (path, source), module in zip(files, modules):
             display = str(path)
             if root is not None:
                 try:
                     display = str(path.resolve().relative_to(root.resolve()))
                 except ValueError:
                     pass
-            module = module_name_for(path, root)
-            try:
-                source = path.read_text(encoding="utf-8")
-            except OSError:
-                continue
             project.add_source(module, source, display)
         return project
 

@@ -291,6 +291,8 @@ class ChipVariationProfile:
         self._block_cache: Dict[Tuple[int, int], "_BlockStatics"] = {}
         self._noise_cache: Dict[tuple, np.ndarray] = {}
         self._latency_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
+        #: tR by LWL: it depends on the chip and the LWL's layer alone
+        self._read_latencies: Dict[int, float] = {}
 
     # -- per-block static draws ------------------------------------------------
 
@@ -449,11 +451,18 @@ class ChipVariationProfile:
         return float(_quantize(raw, params.ers_quant_us))
 
     def read_latency(self, plane: int, block: int, lwl: int) -> float:
-        """tR of a page, µs (mild layer dependence plus chip offset)."""
+        """tR of a page, µs (mild layer dependence plus chip offset).
+
+        Neither term depends on the plane or block, so the value is memoized
+        per LWL, after the argument checks.
+        """
         geometry = self._geometry
         geometry.check_plane(plane)
         geometry.check_block(block)
         geometry.check_lwl(lwl)
+        latency = self._read_latencies.get(lwl)
+        if latency is not None:
+            return latency
         params = self._params
         layer, _ = geometry.lwl_components(lwl)
         layer_term = self._shared.layer_shape[layer] / params.layer_shape_amp_us
@@ -462,7 +471,8 @@ class ChipVariationProfile:
             + 0.02 * self._chip_offset
             + params.sigma_read_us * layer_term
         )
-        return float(_quantize(raw, params.read_quant_us))
+        latency = self._read_latencies[lwl] = float(_quantize(raw, params.read_quant_us))
+        return latency
 
     # -- reliability ------------------------------------------------------------------
 

@@ -221,15 +221,10 @@ class Ssd:
         finish = now + self.timing.command_overhead_us
         for lpn in request.lpns():
             result = self.ftl.read(lpn)
-            if not result.located:
+            record = result.member
+            if record is None:
+                # unmapped, or answered from the write buffer: no flash read
                 continue
-            if result.buffer_hit:
-                continue
-            location = self.ftl.mapper.lookup(lpn)
-            assert location is not None
-            sb = self.ftl.table.get(location.superblock_id)
-            slot = sb.slot_location(location.slot)
-            record = sb.members[slot.lane_index]
             die = self.dies[record.lane]
             sense_done = die.acquire(now, result.latency_us)
             channel = self.channels[self.lane_channel[record.lane]]

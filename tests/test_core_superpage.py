@@ -121,3 +121,67 @@ class TestSuperwl:
                 actuals.append(flat[lwl])
         corr = float(np.corrcoef(predictions, actuals)[0, 1])
         assert corr > 0.5
+
+
+def _numpy_lane_curve(predictor, lane, lwl):
+    """The prediction lookups computed on numpy scalars and reductions."""
+    count = predictor._count[lane][lwl]
+    if count == 0:
+        total = predictor._count[lane].sum()
+        return 0.0 if total == 0 else float(predictor._sum[lane].sum() / total)
+    return float(predictor._sum[lane][lwl] / count)
+
+
+def _numpy_bit_adjustment(predictor, lane, bit):
+    counts = predictor._bit_count[lane]
+    if counts[bit] == 0 or counts.sum() == 0:
+        return 0.0
+    sums = predictor._bit_sum[lane]
+    return float(sums[bit] / counts[bit] - sums.sum() / counts.sum())
+
+
+class TestExactness:
+    def test_ready_latches_and_equals_the_all_lanes_check(self):
+        rng = np.random.default_rng(21)
+        lanes = [0, 1, 2]
+        predictor = SuperpagePredictor(SMALL_GEOMETRY, lanes=lanes)
+        observed = set()
+        was_ready = False
+        for _ in range(80):
+            lane = int(rng.choice(lanes, p=[0.48, 0.48, 0.04]))
+            lwl = int(rng.integers(0, SMALL_GEOMETRY.lwls_per_block))
+            predictor.observe(lane, lwl, float(rng.normal(1700, 40)), int(rng.integers(0, 2)))
+            observed.add(lane)
+            ready = predictor.ready()
+            assert ready == (observed == set(lanes))
+            assert ready or not was_ready
+            was_ready = ready
+        assert was_ready
+
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_predictions_equal_a_numpy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        g = SMALL_GEOMETRY
+        predictor = SuperpagePredictor(g, lanes=[0, 1])
+
+        def check():
+            for lane in (0, 1):
+                for lwl in range(g.lwls_per_block):
+                    assert predictor.lane_curve_value(lane, lwl) == _numpy_lane_curve(
+                        predictor, lane, lwl
+                    )
+                for bit in (0, 1):
+                    assert predictor.bit_adjustment(lane, bit) == _numpy_bit_adjustment(
+                        predictor, lane, bit
+                    )
+
+        check()
+        record, matrix = make_record_and_matrix(0, 2, seed=seed)
+        predictor.observe_record(record, matrix)
+        check()
+        for _ in range(150):
+            lane = int(rng.integers(0, 2))
+            lwl = int(rng.integers(0, g.lwls_per_block))
+            latency = float(rng.normal(1700, 40))
+            predictor.observe(lane, lwl, latency, int(rng.integers(0, 2)))
+            check()

@@ -53,7 +53,10 @@ class TestBasics:
         mapper.map_page(1, PhysicalSlot(0, 9))
         mapper.map_page(2, PhysicalSlot(0, 2))
         mapper.map_page(3, PhysicalSlot(1, 0))
-        assert mapper.valid_slots(0) == [(2, 2), (9, 1)]
+        assert mapper.valid_slots(0, 10) == [(2, 2), (9, 1)]
+        # only the superblock's own slot range is probed
+        assert mapper.valid_slots(0, 9) == [(2, 2)]
+        assert mapper.valid_slots(1, 10) == [(0, 3)]
 
     def test_drop_superblock_guard(self):
         mapper = PageMapper(10)

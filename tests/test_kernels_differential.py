@@ -324,7 +324,8 @@ def test_array_mapper_mirrors_scalar_mapper(seed):
     assert dict(scalar.iter_mapped()) == dict(vector.iter_mapped())
     for sb in range(6):
         assert scalar.valid_count(sb) == vector.valid_count(sb)
-        assert sorted(scalar.valid_slots(sb)) == sorted(vector.valid_slots(sb))
+        slot_count = 400  # no superblock takes more slots than the tape's ops
+        assert scalar.valid_slots(sb, slot_count) == vector.valid_slots(sb, slot_count)
 
 
 def test_map_batch_equals_per_page_loop():

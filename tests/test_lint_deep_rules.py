@@ -8,9 +8,10 @@ findings obey the one line-scoped suppression rule and are deduped.
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 from typing import Dict, List
 
-from repro.lint import Finding, ProgramRule, all_rules, lint_sources
+from repro.lint import Finding, ProgramRule, all_rules, lint_paths, lint_sources
 
 
 def run(sources: Dict[str, str]) -> List[Finding]:
@@ -511,6 +512,46 @@ def test_def_line_directive_does_not_cover_function_body() -> None:
         }
     )
     assert "PROC003" in codes(findings)
+
+
+def test_one_module_name_in_two_trees_reports_in_the_file_that_holds_it(
+    tmp_path, monkeypatch
+) -> None:
+    # Outside the cwd a file is named by its last two path parts, so
+    # a/pkg/util.py and b/pkg/util.py would both be ``pkg.util``.  Each must
+    # still resolve through its own module, in either argument order, and
+    # b's directive on line 5 must not silence a's finding on line 5.
+    sources = {
+        "a": """
+            import os
+
+
+            def names(path):
+                return os.listdir(path)
+            """,
+        "b": """
+            def total(values):
+                return sum(values)
+
+
+            def largest(values):  # reprolint: disable=DET011
+                return max(values)
+            """,
+    }
+    for tree, source in sources.items():
+        package = tmp_path / tree / "pkg"
+        package.mkdir(parents=True)
+        (package / "util.py").write_text(textwrap.dedent(source).lstrip())
+    cwd = tmp_path / "elsewhere"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for order in (("a", "b"), ("b", "a")):
+        findings = lint_paths([str(tmp_path / tree) for tree in order])
+        assert [
+            (Path(f.path).relative_to(tmp_path).as_posix(), f.line)
+            for f in findings
+            if f.code == "DET011"
+        ] == [("a/pkg/util.py", 5)]
 
 
 def test_findings_via_two_call_paths_are_deduped() -> None:

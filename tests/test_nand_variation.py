@@ -255,3 +255,32 @@ class TestReliability:
         assert profile.read_latency(0, 0, 5) > 0
         with pytest.raises(ValueError):
             profile.read_latency(0, 0, SMALL_GEOMETRY.lwls_per_block)
+
+    def test_read_latency_memo_matches_a_fresh_evaluation(self):
+        # tR depends on the chip and the LWL's layer alone, so it is memoized
+        # per LWL: any plane and block must read what a profile that never
+        # evaluated anything computes for that address.
+        g = SMALL_GEOMETRY
+
+        def fresh_profile():
+            return VariationModel(g, VariationParams(), seed=99).chip_profile(1)
+
+        memo = fresh_profile()
+        for lwl in range(g.lwls_per_block):
+            memo.read_latency(0, 0, lwl)
+        for plane, block in [(0, 0), (1, 17), (g.planes_per_chip - 1, g.blocks_per_plane - 1)]:
+            for lwl in reversed(range(g.lwls_per_block)):
+                assert memo.read_latency(plane, block, lwl) == fresh_profile().read_latency(
+                    plane, block, lwl
+                )
+        # the memo sits after the argument checks
+        for args in [
+            (g.planes_per_chip, 0, 0),
+            (-1, 0, 0),
+            (0, g.blocks_per_plane, 0),
+            (0, -1, 0),
+            (0, 0, g.lwls_per_block),
+            (0, 0, -1),
+        ]:
+            with pytest.raises(ValueError):
+                memo.read_latency(*args)
