@@ -442,7 +442,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.exp import ResultCache, Sweep, SweepProgress, default_cache_dir
     from repro.exp import run as run_sweep
-    from repro.obs import MetricsRegistry
+    from repro.exp.sweep import check_run_options
 
     if args.preset == "device":
         base = SimConfig.device(
@@ -473,6 +473,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params["methods"] = args.methods.split(",")
     sweep = Sweep(args.task, base=base, params=params)
     try:
+        # Checked before the grid expands, so --dry-run rejects them too;
+        # left to run(), the ValueError would exit 1, the failed-cells code.
+        check_run_options(args.workers, args.retries, args.cell_timeout)
         for name, values in _parse_axes(args.over):
             sweep = sweep.over(name, values)
         # expanding the grid builds (and so validates) every cell config
@@ -493,7 +496,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache = ResultCache(
             Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         )
-    registry = MetricsRegistry()
 
     def live_progress(snapshot: "SweepProgress") -> None:
         if snapshot.eta_s is None:
@@ -514,7 +516,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         force=args.force,
-        registry=registry,
         echo=None if args.progress else (lambda line: print(line, file=sys.stderr)),
         cell_timeout=args.cell_timeout,
         retries=args.retries,

@@ -3,9 +3,9 @@
 A :class:`Sweep` is a task name, a base :class:`SimConfig`, fixed task
 params, and an ordered list of axes.  ``sweep.over("seed", range(8))``
 style chaining expands (lazily) into the full cross-product of cells;
-:func:`run` executes them — serially or on a
-:class:`~concurrent.futures.ProcessPoolExecutor` — against the on-disk
-result cache.
+:func:`run` executes them — in-process or on a
+:class:`~concurrent.futures.ProcessPoolExecutor`, through one settle loop —
+against the on-disk result cache.
 
 Determinism contract:
 
@@ -26,9 +26,10 @@ import itertools
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -39,12 +40,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.exp.cache import ResultCache, cell_key, code_salt, to_jsonable
 from repro.exp.config import SimConfig
 from repro.exp.tasks import TASKS, Task
-from repro.obs.registry import MetricsRegistry
 from repro.perf.profiler import Stopwatch, perf_scope
 from repro.utils.rng import derive_seed
 
@@ -171,7 +172,7 @@ class CellResult:
     #: the cell ran in-process because the worker pool broke mid-sweep.
     fallback: bool = False
     #: seconds slept before each retry of this cell (seed-stable schedule),
-    #: pool-side and serial attempts combined, in attempt order.
+    #: in attempt order, on whichever executor ran it.
     backoffs_s: Tuple[float, ...] = ()
 
     @property
@@ -236,8 +237,7 @@ class SweepResult:
         The ``failures`` count (and per-cell ``failed`` markers) appear
         only when a cell actually failed, so clean-run manifests keep
         their historical key set plus the timing telemetry.  ``wall_s`` /
-        ``attempts`` / ``provenance`` are recorded for *every* cell
-        (previously only failure rows carried attempt counts); they are
+        ``attempts`` / ``provenance`` are recorded for *every* cell; they are
         host-side telemetry, so manifest consumers comparing results must
         compare the ``result`` values, never whole rows.  A ``fallback``
         marker and the per-cell ``backoffs_s`` retry schedule likewise
@@ -308,52 +308,80 @@ def worker_entrypoint(fn: Callable[..., Any]) -> Callable[..., Any]:
     return fn
 
 
-@worker_entrypoint
-def _execute_cell(payload: Tuple[Any, ...]) -> Dict[str, Any]:
-    """Worker entry point: run one cell (top-level, hence picklable).
+#: One attempt at a cell: its in-worker seconds and the task's result
+#: document, or the exception the task raised.
+_Outcome = Tuple[float, Union[Dict[str, Any], Exception]]
 
-    The optional fourth payload element is a wall-clock timeout in
-    seconds, enforced via ``SIGALRM`` where available (POSIX main thread —
-    which is exactly where pool workers run task functions).  Elsewhere
-    the timeout degrades to "no timeout" rather than failing the cell.
+
+@worker_entrypoint
+def _execute_cell(payload: Tuple[Any, ...]) -> _Outcome:
+    """Worker entry point: run and time one cell (top-level, hence picklable).
+
+    The time is measured in the worker, so it is pure task execution — pool
+    queueing and result pickling are excluded.  A task that raises (or
+    overruns its budget) has its exception returned, not raised, so the
+    attempt's time reaches ``CellResult.wall_s`` on either executor; a dead
+    worker still surfaces as ``BrokenProcessPool`` from the future.
+
+    The fourth payload element is a wall-clock timeout in seconds (or
+    ``None``), enforced via ``SIGALRM`` where available (POSIX main thread —
+    which is where pool workers and the in-process executor run cells).
+    Elsewhere the timeout degrades to "no timeout" rather than failing the
+    cell.
     """
-    task_name, config, params = payload[:3]
-    timeout = payload[3] if len(payload) > 3 else None
+    task_name, config, params, timeout = payload
     task = TASKS[task_name]
     use_alarm = (
         timeout is not None
         and hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
     )
-    if use_alarm:
-        def _on_alarm(signum: int, frame: Any) -> None:
-            raise CellTimeoutError(f"cell exceeded {float(timeout):.1f}s budget")
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, float(timeout))
-        try:
-            result = task.fn(config, params)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-    else:
-        result = task.fn(config, params)
-    jsonable: Dict[str, Any] = to_jsonable(result)
-    return jsonable
-
-
-@worker_entrypoint
-def _execute_cell_timed(payload: Tuple[Any, ...]) -> Tuple[float, Dict[str, Any]]:
-    """:func:`_execute_cell` plus its wall-clock seconds, measured in-worker.
-
-    Timing inside the worker process means the number is pure task
-    execution — pool queueing and result pickling are excluded.  The
-    duration is telemetry for the sweep manifest, never part of the
-    cached result document.
-    """
     watch = Stopwatch()
-    result = _execute_cell(payload)
-    return (watch.elapsed_s(), result)
+    try:
+        if use_alarm:
+            def _on_alarm(signum: int, frame: Any) -> None:
+                raise CellTimeoutError(f"cell exceeded {float(timeout):.1f}s budget")
+
+            previous = signal.signal(signal.SIGALRM, _on_alarm)
+            signal.setitimer(signal.ITIMER_REAL, float(timeout))
+            try:
+                result = task.fn(config, params)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                signal.signal(signal.SIGALRM, previous)
+        else:
+            result = task.fn(config, params)
+        jsonable: Dict[str, Any] = to_jsonable(result)
+    except Exception as error:  # noqa: BLE001 — the runner retries or records it
+        return watch.elapsed_s(), error
+    return watch.elapsed_s(), jsonable
+
+
+class _InlineExecutor:
+    """The in-process executor: ``submit`` runs the cell and returns it settled."""
+
+    def submit(
+        self, fn: Callable[[Tuple[Any, ...]], _Outcome], payload: Tuple[Any, ...]
+    ) -> "Future[_Outcome]":
+        future: "Future[_Outcome]" = Future()
+        with perf_scope("sweep.cell"):
+            future.set_result(fn(payload))
+        return future
+
+    def shutdown(self) -> None:
+        pass
+
+
+@dataclass
+class _Pending:
+    """A cache-missed cell and its attempt history until it settles."""
+
+    cell: Cell
+    key: str
+    attempts: int = 0
+    wall_s: float = 0.0
+    backoffs: List[float] = field(default_factory=list)
+    fallback: bool = False
 
 
 def _failure_row(error: BaseException, attempts: int) -> Dict[str, Any]:
@@ -378,13 +406,22 @@ def _retry_backoff_s(base_seed: int, cell_index: int, attempt: int) -> float:
     return min(2.0, 0.05 * (2 ** (attempt - 1)) * (1.0 + jitter / 1000.0))
 
 
+def check_run_options(workers: int, retries: int, cell_timeout: Optional[float]) -> None:
+    """Raise ``ValueError`` unless :func:`run` accepts these options."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if cell_timeout is not None and cell_timeout <= 0:
+        raise ValueError("cell_timeout must be positive")
+
+
 def run(
     sweep: Sweep,
     *,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     force: bool = False,
-    registry: Optional[MetricsRegistry] = None,
     echo: Optional[Callable[[str], None]] = None,
     cell_timeout: Optional[float] = None,
     retries: int = 0,
@@ -395,35 +432,30 @@ def run(
     ``cache`` (optional) serves unchanged cells from disk and persists
     fresh ones; ``force`` recomputes even on hit.  ``workers > 1`` fans the
     missing cells out over a process pool — results are bit-identical to a
-    serial run because cells share nothing.  Progress lands in ``registry``
-    counters (``sweep.cells`` / ``sweep.cache_hits`` / ``sweep.cache_misses``
-    / ``sweep.cells_done``) and, line by line, in ``echo``.
+    serial run because cells share nothing.  Otherwise they run in-process,
+    one at a time in grid order.  Progress lands, line by line, in ``echo``.
 
     Robustness: ``cell_timeout`` bounds each cell's wall-clock seconds,
     and a raising (or timed-out) cell is retried up to ``retries`` times
     with seed-stable exponential backoff.  A cell that exhausts its
     attempts records a structured failure row (never cached, flagged in
     the manifest) instead of killing the sweep, and a broken process
-    pool downgrades the remaining cells to serial execution.
+    pool downgrades the remaining cells to in-process execution.  Both
+    executors settle an attempt on the same path.
 
     Telemetry: each returned cell carries its host wall-clock cost
-    (cache-lookup time for hits, in-worker execution time for computed
-    cells) and attempt count, and ``progress`` (if given) receives a
-    :class:`SweepProgress` snapshot — done/cached/failed counts, elapsed
-    seconds and an ETA — after every completed cell.
+    (cache-lookup time for hits, in-worker execution time summed over
+    attempts for computed cells) and attempt count, and ``progress`` (if
+    given) receives a :class:`SweepProgress` snapshot — done/cached/failed
+    counts, elapsed seconds and an ETA — after every completed cell.
     """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise ValueError("cell_timeout must be positive")
+    check_run_options(workers, retries, cell_timeout)
     task: Task = TASKS[sweep.task]
     salt = code_salt(task.modules)
     cells = sweep.cells()
     sweep_watch = Stopwatch()
-    if registry is not None:
-        registry.counter("sweep.cells").inc(len(cells))
     results: List[Optional[CellResult]] = [None] * len(cells)
-    pending: List[Tuple[Cell, str]] = []
+    pending: List[_Pending] = []
 
     def emit_progress() -> None:
         if progress is None:
@@ -435,15 +467,11 @@ def run(
         computed = done - cached_n
         remaining = len(cells) - done
         elapsed = sweep_watch.elapsed_s()
-        eta: Optional[float]
-        if remaining == 0:
-            eta = 0.0
-        elif computed > 0:
+        eta: Optional[float] = 0.0 if remaining == 0 else None
+        if computed > 0:
             # Cache hits are ~free, so rate the remaining (all-computed)
             # cells on the computed throughput observed so far.
             eta = elapsed / computed * remaining
-        else:
-            eta = None
         progress(
             SweepProgress(
                 total=len(cells),
@@ -455,45 +483,37 @@ def run(
             )
         )
 
+    def record(item: CellResult, state: str) -> None:
+        results[item.cell.index] = item
+        if echo is not None:
+            echo(f"cell {item.cell.index + 1}/{len(cells)} [{item.cell.label()}] {state}")
+        emit_progress()
+
     for cell in cells:
         key = cell_key(sweep.task, cell.config, cell.params, salt)
         lookup = Stopwatch()
         hit = cache.get(key) if (cache is not None and not force) else None
-        if hit is not None:
-            results[cell.index] = CellResult(
-                cell=cell,
-                result=hit,
-                cached=True,
-                key=key,
-                wall_s=lookup.elapsed_s(),
-            )
-            if registry is not None:
-                registry.counter("sweep.cache_hits").inc()
-                registry.counter("sweep.cells_done").inc()
-            if echo is not None:
-                echo(f"cell {cell.index + 1}/{len(cells)} [{cell.label()}] cached")
-            emit_progress()
+        if hit is None:
+            pending.append(_Pending(cell, key))
         else:
-            pending.append((cell, key))
-            if registry is not None:
-                registry.counter("sweep.cache_misses").inc()
+            record(
+                CellResult(
+                    cell=cell, result=hit, cached=True, key=key, wall_s=lookup.elapsed_s()
+                ),
+                "cached",
+            )
 
-    def finish(
-        cell: Cell,
-        key: str,
-        result: Dict[str, Any],
-        *,
-        failed: bool = False,
-        wall_s: float = 0.0,
-        attempts: int = 1,
-        fallback: bool = False,
-        backoffs: Tuple[float, ...] = (),
-    ) -> None:
+    def finish(entry: _Pending, outcome: Union[Dict[str, Any], Exception]) -> None:
+        cell = entry.cell
+        if isinstance(outcome, Exception):
+            result, failed = _failure_row(outcome, entry.attempts), True
+        else:
+            result, failed = outcome, False
         # Failure rows are never persisted: a later run with the bug (or
         # flake) gone must recompute the cell, not replay the failure.
         if cache is not None and not failed:
             cache.put(
-                key,
+                entry.key,
                 {
                     "task": sweep.task,
                     "salt": salt,
@@ -502,169 +522,86 @@ def run(
                     "result": result,
                 },
             )
-        results[cell.index] = CellResult(
-            cell=cell,
-            result=result,
-            cached=False,
-            key=key,
-            failed=failed,
-            wall_s=wall_s,
-            attempts=attempts,
-            fallback=fallback,
-            backoffs_s=backoffs,
+        record(
+            CellResult(
+                cell=cell,
+                result=result,
+                cached=False,
+                key=entry.key,
+                failed=failed,
+                wall_s=entry.wall_s,
+                attempts=entry.attempts,
+                fallback=entry.fallback,
+                backoffs_s=tuple(entry.backoffs),
+            ),
+            "FAILED" if failed else "done",
         )
-        if registry is not None:
-            registry.counter("sweep.cells_done").inc()
-            if failed:
-                registry.counter("sweep.cell_failures").inc()
+
+    executor: Union[ProcessPoolExecutor, _InlineExecutor]
+    if workers > 1 and len(pending) > 1:
+        executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+    else:
+        executor = _InlineExecutor()
+    queue = deque(pending)
+    in_flight: Dict["Future[_Outcome]", _Pending] = {}
+
+    def fall_back(entry: _Pending) -> None:
+        # A worker died hard (OOM-kill, segfault in a native lib), seen by a
+        # future or by the submit of a retry queued after the break.  Cells
+        # are pure functions of their payloads, so the unfinished ones rerun
+        # in-process, marked ``serial-fallback``, keeping their history.
+        nonlocal executor, queue
+        executor.shutdown()
+        executor = _InlineExecutor()
+        lost = [entry, *in_flight.values()]
+        in_flight.clear()
+        queue = deque(sorted([*queue, *lost], key=lambda item: item.cell.index))
+        for item in queue:
+            item.fallback = True
         if echo is not None:
-            state = "FAILED" if failed else "done"
-            echo(f"cell {cell.index + 1}/{len(cells)} [{cell.label()}] {state}")
-        emit_progress()
+            echo(f"process pool broke; running {len(queue)} remaining cell(s) serially")
 
-    def payload_for(cell: Cell) -> Tuple[Any, ...]:
-        return (sweep.task, cell.config, cell.params, cell_timeout)
-
-    # Pool-side retry history, keyed by cell index: how many attempts each
-    # pending cell has made and the backoff slept before each retry.  The
-    # serial-fallback path continues these counts, so a cell that failed
-    # twice in the pool and once more in-process reports attempts=3 with
-    # its full backoff schedule.
-    pool_attempts: Dict[int, int] = {}
-    pool_backoffs: Dict[int, List[float]] = {}
-
-    def run_serially(cell: Cell, key: str, *, fallback: bool = False) -> None:
-        attempts = pool_attempts.get(cell.index, 1) - 1 if fallback else 0
-        backoffs = list(pool_backoffs.get(cell.index, [])) if fallback else []
-        spent_s = 0.0
-        while True:
-            attempts += 1
-            attempt_watch = Stopwatch()
-            try:
-                with perf_scope("sweep.cell"):
-                    result = _execute_cell(payload_for(cell))
-            except Exception as error:  # noqa: BLE001 — converted to a row
-                spent_s += attempt_watch.elapsed_s()
-                if attempts <= retries:
+    try:
+        while queue or in_flight:
+            # The pool takes every queued cell at once; the in-process
+            # executor settles a cell on submit, so it holds one at a time.
+            while queue and (isinstance(executor, ProcessPoolExecutor) or not in_flight):
+                entry = queue.popleft()
+                payload = (sweep.task, entry.cell.config, entry.cell.params, cell_timeout)
+                try:
+                    in_flight[executor.submit(_execute_cell, payload)] = entry
+                except BrokenProcessPool:
+                    fall_back(entry)
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                entry = in_flight.pop(future)
+                try:
+                    wall_s, outcome = future.result()
+                except BrokenProcessPool:
+                    fall_back(entry)
+                    break
+                except Exception as error:  # noqa: BLE001 — failed to pickle
+                    wall_s, outcome = 0.0, error
+                # Only a settled attempt counts; one lost to a pool break does not.
+                entry.attempts += 1
+                entry.wall_s += wall_s
+                if isinstance(outcome, Exception) and entry.attempts <= retries:
                     if echo is not None:
                         echo(
-                            f"cell {cell.index + 1}/{len(cells)} "
-                            f"[{cell.label()}] {type(error).__name__}; "
-                            f"retry {attempts}/{retries}"
+                            f"cell {entry.cell.index + 1}/{len(cells)} "
+                            f"[{entry.cell.label()}] {type(outcome).__name__}; "
+                            f"retry {entry.attempts}/{retries}"
                         )
-                    delay = _retry_backoff_s(sweep.base.seed, cell.index, attempts)
-                    backoffs.append(delay)
-                    time.sleep(delay)
-                    continue
-                finish(
-                    cell,
-                    key,
-                    _failure_row(error, attempts),
-                    failed=True,
-                    wall_s=spent_s,
-                    attempts=attempts,
-                    fallback=fallback,
-                    backoffs=tuple(backoffs),
-                )
-                return
-            spent_s += attempt_watch.elapsed_s()
-            finish(
-                cell,
-                key,
-                result,
-                wall_s=spent_s,
-                attempts=attempts,
-                fallback=fallback,
-                backoffs=tuple(backoffs),
-            )
-            return
-
-    serial_cells: List[Tuple[Cell, str]] = []
-    pool_broke = False
-    if pending:
-        if workers <= 1 or len(pending) == 1:
-            serial_cells = list(pending)
-        else:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending))
-                ) as pool:
-                    futures = {
-                        pool.submit(_execute_cell_timed, payload_for(cell)): (cell, key)
-                        for cell, key in pending
-                    }
-                    pool_attempts.update({cell.index: 1 for cell, _ in pending})
-                    remaining = set(futures)
-                    while remaining:
-                        done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            cell, key = futures.pop(future)
-                            try:
-                                cell_wall_s, result = future.result()
-                            except BrokenProcessPool:
-                                raise
-                            except Exception as error:  # noqa: BLE001
-                                made = pool_attempts[cell.index]
-                                if made <= retries:
-                                    pool_attempts[cell.index] = made + 1
-                                    if echo is not None:
-                                        echo(
-                                            f"cell {cell.index + 1}/{len(cells)} "
-                                            f"[{cell.label()}] "
-                                            f"{type(error).__name__}; "
-                                            f"retry {made}/{retries}"
-                                        )
-                                    delay = _retry_backoff_s(
-                                        sweep.base.seed, cell.index, made
-                                    )
-                                    pool_backoffs.setdefault(
-                                        cell.index, []
-                                    ).append(delay)
-                                    time.sleep(delay)
-                                    retry = pool.submit(
-                                        _execute_cell_timed, payload_for(cell)
-                                    )
-                                    futures[retry] = (cell, key)
-                                    remaining.add(retry)
-                                else:
-                                    finish(
-                                        cell,
-                                        key,
-                                        _failure_row(error, made),
-                                        failed=True,
-                                        attempts=made,
-                                        backoffs=tuple(
-                                            pool_backoffs.get(cell.index, [])
-                                        ),
-                                    )
-                            else:
-                                finish(
-                                    cell,
-                                    key,
-                                    result,
-                                    wall_s=cell_wall_s,
-                                    attempts=pool_attempts[cell.index],
-                                    backoffs=tuple(
-                                        pool_backoffs.get(cell.index, [])
-                                    ),
-                                )
-            except BrokenProcessPool:
-                # A worker died hard (OOM-kill, segfault in a native lib).
-                # Cells are pure functions of their payloads, so the safe
-                # degradation is to finish the unfinished ones in-process —
-                # marked ``serial-fallback`` in the manifest, continuing
-                # each cell's pool-side attempt/backoff history.
-                pool_broke = True
-                serial_cells = [
-                    item for item in pending if results[item[0].index] is None
-                ]
-                if echo is not None:
-                    echo(
-                        f"process pool broke; running {len(serial_cells)} "
-                        "remaining cell(s) serially"
+                    delay = _retry_backoff_s(
+                        sweep.base.seed, entry.cell.index, entry.attempts
                     )
-    for cell, key in serial_cells:
-        run_serially(cell, key, fallback=pool_broke)
+                    entry.backoffs.append(delay)
+                    time.sleep(delay)
+                    queue.appendleft(entry)
+                else:
+                    finish(entry, outcome)
+    finally:
+        executor.shutdown()
     complete = [item for item in results if item is not None]
     assert len(complete) == len(cells)
     return SweepResult(

@@ -18,11 +18,14 @@ import numpy as np
 from repro.core.assembler import SpeedClass
 from repro.core.records import BlockRecord
 from repro.core.scheme import QstrMedScheme
-from repro.ftl.repair import DEFAULT_REPAIR_DEPTH, speed_candidates
 from repro.nand.geometry import NandGeometry
 from repro.obs.registry import MetricsRegistry
 from repro.policy.base import AssemblyPolicy, RepairContext, RepairPolicy
+from repro.policy.static import speed_candidates
 from repro.utils.rng import derive_seed
+
+#: How many speed-matched free blocks a repair policy drafts a spare from.
+DEFAULT_REPAIR_DEPTH = 4
 
 
 def _draft_record(

@@ -677,8 +677,11 @@ class Ftl:
                         sb, failed, lwl, page_type
                     )
                 else:
-                    payload, read_us = self._read_member_page(
-                        sb, lane_index, failed, lwl, page_type, page_index, per_swl
+                    # sb.members[lane_index] is still the failed block here
+                    payload, read_us = self._read_physical(
+                        sb,
+                        SlotLocation(lane_index=lane_index, lwl=lwl, page_type=page_type),
+                        lwl * per_swl + page_index * sb.data_lane_count + lane_index,
                     )
                 total_us += read_us
                 if payload is not None:
@@ -695,32 +698,6 @@ class Ftl:
                     spare.lane, lwl, result.latency_us, spare.eigen[lwl]
                 )
         return True, total_us
-
-    def _read_member_page(
-        self,
-        sb: ManagedSuperblock,
-        lane_index: int,
-        failed: BlockRecord,
-        lwl: int,
-        page_type: PageType,
-        page_index: int,
-        per_swl: int,
-    ) -> Tuple[object, float]:
-        """Read one data page off a retired member, via parity if needed."""
-        chip = self.chips[failed.lane]
-        try:
-            result, payload = chip.read_page(failed.plane, failed.block, lwl, page_type)
-            return payload, result.latency_us
-        except UncorrectableReadError as error:
-            if not sb.parity:
-                raise
-            slot_index = lwl * per_swl + page_index * sb.data_lane_count + lane_index
-            location = SlotLocation(
-                lane_index=lane_index, lwl=lwl, page_type=page_type
-            )
-            return self._reconstruct(
-                sb, location, slot_index, wasted_us=error.latency_us
-            )
 
     def _read_or_rebuild_parity(
         self, sb: ManagedSuperblock, failed: BlockRecord, lwl: int, page_type: PageType

@@ -20,7 +20,7 @@ import ast
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.project import FunctionInfo, Project
+from repro.lint.project import FunctionInfo, Project, dotted_name
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,6 @@ class CallEdge:
     callee: str
     lineno: int
     fallback: bool = False
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def iter_own_nodes(root: ast.AST) -> Iterable[ast.AST]:
@@ -104,7 +93,7 @@ class CallGraph:
         for node in iter_own_nodes(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             lineno = getattr(node, "lineno", fn.lineno)

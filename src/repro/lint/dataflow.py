@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import CallGraph
-from repro.lint.project import FunctionInfo, Project
+from repro.lint.project import FunctionInfo, Project, dotted_name
 
 WALLCLOCK = "wallclock"
 FSORDER = "fsorder"
@@ -161,17 +161,6 @@ class FunctionSummary:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _param_names(node: ast.AST) -> List[str]:
     args = node.args  # type: ignore[attr-defined]
     names = [a.arg for a in getattr(args, "posonlyargs", [])]
@@ -283,7 +272,7 @@ class _FunctionState:
         if isinstance(node, ast.Name):
             return set(self.env.get(node.id, ()))
         if isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted is not None and dotted in self.env:
                 return set(self.env[dotted])
             return self.eval(node.value)
@@ -369,7 +358,7 @@ class _FunctionState:
         return pairs
 
     def eval_call(self, node: ast.Call) -> Set[str]:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None and dotted in _FSORDER_SANITIZERS:
             self._sanitizing += 1
             try:
@@ -435,7 +424,7 @@ class _FunctionState:
 
         # -- receiver mutation ----------------------------------------------
         if tail in _MUTATORS and isinstance(node.func, ast.Attribute):
-            receiver = _dotted(node.func.value)
+            receiver = dotted_name(node.func.value)
             if receiver is not None and args_taint:
                 self.env.setdefault(receiver, set()).update(args_taint - {_EXECUTOR})
 
@@ -511,7 +500,7 @@ class _FunctionState:
         elif isinstance(target, ast.Starred):
             self._bind_target(target.value, taint)
         elif isinstance(target, ast.Attribute):
-            dotted = _dotted(target)
+            dotted = dotted_name(target)
             if dotted is not None:
                 self.env.setdefault(dotted, set()).update(taint)
 
@@ -522,11 +511,11 @@ class _FunctionState:
         is_state = False
         detail = ""
         if isinstance(target, ast.Attribute):
-            dotted = _dotted(target)
+            dotted = dotted_name(target)
             if dotted is not None and dotted.startswith("self."):
                 is_state, detail = True, dotted
         elif isinstance(target, ast.Subscript):
-            dotted = _dotted(target.value)
+            dotted = dotted_name(target.value)
             if dotted is not None and dotted.startswith("self."):
                 is_state, detail = True, dotted
         elif isinstance(target, ast.Name) and target.id in self.globals_declared:

@@ -213,7 +213,8 @@ class ModuleInfo:
         return f"{target}.{rest}" if rest else target
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -228,7 +229,7 @@ def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
     names: List[str] = []
     for decorator in getattr(node, "decorator_list", []):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is not None:
             names.append(dotted)
     return tuple(names)
@@ -241,7 +242,7 @@ def _is_mutable_literal(value: ast.expr) -> bool:
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(value, ast.Call):
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         return dotted is not None and dotted.split(".")[-1] in _MUTABLE_CONSTRUCTORS
     return False
 
@@ -378,7 +379,7 @@ class Project:
                     qualname = f"{prefix}.{node.name}"
                     bases = tuple(
                         dotted
-                        for dotted in (_dotted(base) for base in node.bases)
+                        for dotted in (dotted_name(base) for base in node.bases)
                         if dotted is not None
                     )
                     self.classes[qualname] = ClassInfo(

@@ -9,7 +9,6 @@ registered rule in one pass.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -60,20 +59,6 @@ class Rule:
 
     def check(self, ctx: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
-
-    # -- shared AST helpers -------------------------------------------------
-
-    @staticmethod
-    def dotted_name(node: ast.AST) -> Optional[str]:
-        """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return ".".join(reversed(parts))
-        return None
 
 
 @dataclass

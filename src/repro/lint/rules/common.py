@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -29,10 +29,3 @@ def walk_runtime(tree: ast.AST) -> Iterator[ast.AST]:
             stack.extend(node.orelse)
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def call_func_dotted(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call's callee (``np.random.default_rng``) if simple."""
-    from repro.lint.registry import Rule
-
-    return Rule.dotted_name(node.func)

@@ -13,12 +13,12 @@ everything reachable from a marked function in the call graph.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.lint.callgraph import iter_own_nodes
 from repro.lint.dataflow import ENTRYPOINT_DECORATORS
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import FunctionInfo, ModuleInfo
+from repro.lint.project import FunctionInfo, ModuleInfo, dotted_name
 from repro.lint.registry import ProgramContext, ProgramRule, register_rule
 
 _MUTATORS = frozenset(
@@ -26,17 +26,6 @@ _MUTATORS = frozenset(
 )
 _PROCESS_EXECUTOR = "ProcessPoolExecutor"
 _BOUNDARY_METHODS = frozenset({"submit", "map"})
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _worker_cone(ctx: ProgramContext) -> Dict[str, str]:
@@ -129,7 +118,7 @@ class GlobalMutableWrittenInWorker(ProgramRule):
             for node in iter_own_nodes(fn.node):
                 name: Optional[str] = None
                 if isinstance(node, ast.Call):
-                    dotted = _dotted(node.func)
+                    dotted = dotted_name(node.func)
                     if dotted is not None:
                         parts = dotted.split(".")
                         if len(parts) == 2 and parts[1] in _MUTATORS:
@@ -220,7 +209,7 @@ class NonPicklableIntoPool(ProgramRule):
                     continue
                 if node.func.attr not in _BOUNDARY_METHODS:
                     continue
-                receiver = _dotted(node.func.value)
+                receiver = dotted_name(node.func.value)
                 if receiver not in executors:
                     continue
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
@@ -256,7 +245,7 @@ class NonPicklableIntoPool(ProgramRule):
     ) -> None:
         if not isinstance(value, ast.Call):
             return
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         if dotted is None:
             return
         expanded = info.expand(dotted)

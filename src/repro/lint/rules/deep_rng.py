@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import ast
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.lint.callgraph import iter_own_nodes
 from repro.lint.dataflow import RNG
 from repro.lint.findings import Finding, Severity
+from repro.lint.project import dotted_name
 from repro.lint.registry import ProgramContext, ProgramRule, register_rule
 
 #: modules allowed to manipulate raw streams (they implement the contract).
@@ -44,17 +45,6 @@ _RNG_DRAWS = frozenset(
         "permutation",
     }
 )
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 @register_rule
@@ -81,7 +71,7 @@ class DuplicateSeedStream(ProgramRule):
             for node in ast.walk(info.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                dotted = _dotted(node.func)
+                dotted = dotted_name(node.func)
                 if dotted is None or dotted.split(".")[-1] != "derive_seed":
                     continue
                 if len(node.args) < 2:
@@ -174,13 +164,13 @@ class StoredGeneratorSharedDraws(ProgramRule):
                         continue
                     if not isinstance(node.value, ast.Call):
                         continue
-                    dotted = _dotted(node.value.func)
+                    dotted = dotted_name(node.value.func)
                     if dotted is None:
                         continue
                     if dotted.split(".")[-1] not in _RNG_PRODUCER_TAILS:
                         continue
                     for target in node.targets:
-                        attr = _dotted(target)
+                        attr = dotted_name(target)
                         if attr is not None and attr.startswith("self."):
                             stored.setdefault(attr[len("self."):], node.lineno)
             if not stored:
@@ -190,7 +180,7 @@ class StoredGeneratorSharedDraws(ProgramRule):
                 for node in iter_own_nodes(method.node):
                     if not isinstance(node, ast.Call):
                         continue
-                    dotted = _dotted(node.func)
+                    dotted = dotted_name(node.func)
                     if dotted is None:
                         continue
                     parts = dotted.split(".")

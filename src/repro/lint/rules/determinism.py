@@ -20,7 +20,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.findings import Finding
-from repro.lint.project import ModuleInfo
+from repro.lint.project import ModuleInfo, dotted_name
 from repro.lint.registry import Rule, register_rule
 from repro.lint.rules.common import walk_runtime
 
@@ -91,7 +91,7 @@ class WallClockRead(Rule):
         in_perf = _in_perf_package(ctx.name)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute):
-                dotted = self.dotted_name(node)
+                dotted = dotted_name(node)
                 if dotted is None:
                     continue
                 tail = ".".join(dotted.split(".")[-2:])
@@ -149,6 +149,6 @@ class UnorderedSetIteration(Rule):
         if isinstance(node, ast.Set):
             return True
         if isinstance(node, ast.Call):
-            callee = Rule.dotted_name(node.func)
+            callee = dotted_name(node.func)
             return callee in ("set", "frozenset")
         return False

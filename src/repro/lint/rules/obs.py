@@ -23,7 +23,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.project import ModuleInfo
+from repro.lint.project import ModuleInfo, dotted_name
 from repro.lint.registry import Rule, register_rule
 
 #: modules whose import inside repro.obs / repro.perf is forbidden.
@@ -81,7 +81,7 @@ class WallClockModuleInObs(Rule):
                         f"import from '{module}' — " + self.description,
                     )
             elif isinstance(node, ast.Attribute):
-                dotted = self.dotted_name(node)
+                dotted = dotted_name(node)
                 if dotted is not None and dotted.split(".")[0] in _CLOCK_MODULES:
                     if in_perf and dotted in _PERF_ALLOWED_DOTTED:
                         continue
@@ -92,7 +92,7 @@ class WallClockModuleInObs(Rule):
                     )
             elif isinstance(node, ast.Call):
                 # importlib.import_module("time") and __import__("time")
-                callee = self.dotted_name(node.func)
+                callee = dotted_name(node.func)
                 if callee in ("importlib.import_module", "__import__"):
                     if node.args and isinstance(node.args[0], ast.Constant):
                         value = node.args[0].value

@@ -13,7 +13,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.project import ModuleInfo
+from repro.lint.project import ModuleInfo, dotted_name
 from repro.lint.registry import Rule, register_rule
 
 #: the one module allowed to construct generators however it needs to.
@@ -70,7 +70,7 @@ class GlobalNumpyRandom(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            dotted = self.dotted_name(node)
+            dotted = dotted_name(node)
             if dotted is None:
                 continue
             parts = dotted.split(".")
@@ -100,7 +100,7 @@ class UnderivedDefaultRng(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = self.dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None or dotted.split(".")[-1] != "default_rng":
                 continue
             if self._is_derived(node):
@@ -118,7 +118,7 @@ class UnderivedDefaultRng(Rule):
         arg = node.args[0]
         if not isinstance(arg, ast.Call):
             return False
-        callee = Rule.dotted_name(arg.func)
+        callee = dotted_name(arg.func)
         return callee is not None and callee.split(".")[-1] == "derive_seed"
 
 
@@ -137,7 +137,7 @@ class UnlabeledFaultStream(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = self.dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None or dotted.split(".")[-1] != "default_rng":
                 continue
             if self._has_faults_label(node):
@@ -169,7 +169,7 @@ class UnlabeledPolicyStream(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = self.dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None or dotted.split(".")[-1] != "default_rng":
                 continue
             if _has_stream_label(node, "policy"):
@@ -189,7 +189,7 @@ def _has_stream_label(node: ast.Call, label: str) -> bool:
     seed = node.args[0]
     if not isinstance(seed, ast.Call):
         return False
-    callee = Rule.dotted_name(seed.func)
+    callee = dotted_name(seed.func)
     if callee is None or callee.split(".")[-1] != "derive_seed":
         return False
     return any(

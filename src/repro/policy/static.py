@@ -9,7 +9,7 @@ in catalog order, because ``BlockCatalog`` preserves insertion order among
 equal-latency records.
 
 The similarity helpers (:func:`speed_candidates`, :func:`choose_similar`)
-moved here from ``repro.ftl.repair`` so both layers share one definition.
+are shared with the FTL's spare drafting (``repro.ftl.allocator``).
 """
 
 from __future__ import annotations

@@ -424,6 +424,24 @@ class TestSweepCommand:
         assert main(argv) == 0
         assert "1 cells, 0 cache hits, 1 misses" in capsys.readouterr().out
 
+    def test_serial_uncached_run_matches_pooled(self, capsys, tmp_path):
+        argv = [
+            "sweep",
+            *self.SMALL,
+            "--methods", "SEQUENTIAL",
+            "--over", "seed=0,1",
+            "--cache-dir", "none",
+        ]
+        docs = {}
+        for workers in ("2", "1"):
+            manifest = tmp_path / f"workers{workers}.json"
+            assert main([*argv, "--workers", workers, "--manifest", str(manifest)]) == 0
+            docs[workers] = json.loads(manifest.read_text())
+        capsys.readouterr()
+        pooled, serial = docs["2"]["cells"], docs["1"]["cells"]
+        assert [cell["result"] for cell in serial] == [cell["result"] for cell in pooled]
+        assert [cell["provenance"] for cell in serial] == ["computed", "computed"]
+
     def test_progress_mode_replaces_echo(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.json"
         argv = [

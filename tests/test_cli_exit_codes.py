@@ -100,6 +100,9 @@ class TestExitTwo:
             (["lint", "--deep"], "unrecognized arguments"),
             (["lint", "--baseline", "x.json"], "unrecognized arguments"),
             (["lint", "--write-baseline"], "unrecognized arguments"),
+            (["sweep", "--retries", "-1", "--dry-run"], "retries must be >= 0"),
+            (["sweep", "--cell-timeout", "0", "--dry-run"], "cell_timeout must be"),
+            (["sweep", "--workers", "0", "--dry-run"], "workers must be >= 1"),
         ],
         ids=[
             "sweep-bad-over",
@@ -119,6 +122,9 @@ class TestExitTwo:
             "lint-retired-deep",
             "lint-retired-baseline",
             "lint-retired-write-baseline",
+            "sweep-negative-retries",
+            "sweep-zero-cell-timeout",
+            "sweep-zero-workers",
         ],
     )
     def test_usage_errors_exit_two(self, argv, needle, capsys):

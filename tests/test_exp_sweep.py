@@ -12,7 +12,6 @@ from repro.exp import (
     code_salt,
     run,
 )
-from repro.obs import MetricsRegistry
 from repro.utils.rng import derive_seed
 
 #: small enough that one cell takes well under a second.
@@ -159,15 +158,6 @@ class TestCache:
 
 
 class TestProgressAndManifest:
-    def test_registry_counters(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        registry = MetricsRegistry()
-        run(tiny_sweep(), cache=cache, registry=registry)
-        counters = {name: c.value for name, c in registry.counters.items()}
-        assert counters["sweep.cells"] == 4
-        assert counters["sweep.cache_misses"] == 4
-        assert counters["sweep.cells_done"] == 4
-
     def test_echo_lines(self):
         lines = []
         run(Sweep("methods", base=BASE, params=PARAMS), echo=lines.append)

@@ -10,6 +10,8 @@ from repro.exp.sweep import _retry_backoff_s
 from repro.exp.tasks import register_task
 
 BASE = SimConfig.testbed(seed=3, chips=2, pool_blocks=10)
+#: seconds of work each `test-slow-flaky` attempt does before it decides
+WORK_S = 0.1
 
 
 # Registered at import time so fork-started pool workers inherit them.
@@ -43,11 +45,37 @@ def _sleepy(config, params):
     return {"slept": True}
 
 
+@register_task("test-slow-flaky", modules=("repro.utils",))
+def _slow_flaky(config, params):
+    # Works WORK_S, then fails until its own cell's attempt `succeed_on`.
+    time.sleep(WORK_S)
+    counter = os.path.join(params["counter_dir"], f"cell-{params['variant']}")
+    with open(counter, "a", encoding="utf-8") as fh:
+        fh.write("attempt\n")
+    with open(counter, encoding="utf-8") as fh:
+        attempts = len(fh.readlines())
+    if attempts < int(params["succeed_on"]):
+        raise ValueError(f"worked, then failed on attempt {attempts}")
+    return {"attempts": attempts}
+
+
 @register_task("test-worker-killer", modules=("repro.utils",))
 def _worker_killer(config, params):
     if os.getpid() != int(params["main_pid"]):
         os._exit(1)  # hard-kill the pool worker -> BrokenProcessPool
     raise ValueError("refusing to run inline")
+
+
+@register_task("test-dies-during-retry", modules=("repro.utils",))
+def _dies_during_retry(config, params):
+    # Cell 0 fails its first attempt at once and sits in its retry backoff
+    # (>= 50 ms) while cell 1's pool worker dies after 10 ms.
+    if params["variant"] == 0:
+        return _flaky(config, {"counter": params["counter"], "succeed_on": 2})
+    if os.getpid() != int(params["main_pid"]):
+        time.sleep(0.01)
+        os._exit(1)
+    return {"ok": True}
 
 
 class TestValidation:
@@ -57,6 +85,10 @@ class TestValidation:
             run(sweep, retries=-1)
         with pytest.raises(ValueError, match="cell_timeout"):
             run(sweep, cell_timeout=0.0)
+
+    def test_bad_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            run(Sweep("test-always-fails", base=BASE), workers=0)
 
 
 class TestFailureRows:
@@ -205,6 +237,20 @@ class TestBrokenPool:
         rows = result.manifest()["cells"]
         assert all("fallback" not in row for row in rows)
 
+    def test_pool_breaking_during_a_retry_falls_back(self, tmp_path):
+        # The retry's submit (or its future) meets the broken pool; either
+        # way both cells finish in-process instead of `run` raising.
+        sweep = Sweep(
+            "test-dies-during-retry",
+            base=BASE,
+            params={"counter": str(tmp_path / "attempts"), "main_pid": os.getpid()},
+        ).over("variant", [0, 1])
+        result = run(sweep, workers=2, retries=1)
+        assert [cell.failed for cell in result.cells] == [False, False]
+        assert [cell.provenance for cell in result.cells] == ["serial-fallback"] * 2
+        assert result.cells[0].result == {"attempts": 2}
+        assert result.cells[1].result == {"ok": True}
+
 
 class TestBackoffHistory:
     def test_retry_backoffs_recorded_per_cell(self):
@@ -239,3 +285,30 @@ class TestManifest:
         assert manifest["failures"] == 1
         assert manifest["cells"][0]["failed"] is True
         assert manifest["cells"][0]["result"]["error_type"] == "ValueError"
+
+
+class TestWallTime:
+    """``wall_s`` is the in-worker task time summed over attempts.
+
+    Two cells per sweep, so that ``workers=2`` really runs the pool.
+    """
+
+    def sweep(self, tmp_path, succeed_on):
+        return Sweep(
+            "test-slow-flaky",
+            base=BASE,
+            params={"counter_dir": str(tmp_path), "succeed_on": succeed_on},
+        ).over("variant", [0, 1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_attempt_time_is_counted(self, tmp_path, workers):
+        result = run(self.sweep(tmp_path, succeed_on=99), workers=workers)
+        assert [cell.failed for cell in result.cells] == [True, True]
+        assert all(cell.wall_s >= WORK_S for cell in result.cells)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retried_cell_sums_its_attempts(self, tmp_path, workers):
+        result = run(self.sweep(tmp_path, succeed_on=2), workers=workers, retries=1)
+        assert [cell.failed for cell in result.cells] == [False, False]
+        assert all(cell.attempts == 2 for cell in result.cells)
+        assert all(cell.wall_s >= 2 * WORK_S for cell in result.cells)

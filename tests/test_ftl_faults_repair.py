@@ -161,17 +161,35 @@ class TestPlaneOutageDegradation:
     purged from the allocator (never drafted again), every already-written
     page stays readable (dead-plane rows come back via parity), and a
     bounded working set keeps writing.
+
+    The outage strikes chip 0 at one of two ops.  ``format()`` runs chip
+    0's first 680 ops, so op 200 kills the plane before any data lands on
+    it and the repair copies nothing.  The fill runs ops 681-936, so op 870
+    kills it under written data: the repair copies 30 word-lines back, and
+    every copy-back and read-back of a dead-plane row goes through parity.
     """
 
-    def build(self, tracer=None):
+    #: outage op -> parity reconstructions after the fill / after read-back
+    RECONSTRUCTIONS = {200: (0, 0), 870: (90, 282)}
+    #: traced JSONL sha256 of the op-870 stack through fill, overwrites and
+    #: read-back; it pins the repair's copy-back reads
+    MID_FILL_TRACE_SHA = (
+        "add31d72d26105b4879de29a8ea5555ce85bd4ac01e517150dfa7bf86b8a9adc"
+    )
+
+    @pytest.fixture(params=[200, 870], ids=["in-format", "mid-fill"])
+    def outage_op(self, request):
+        return request.param
+
+    def build(self, outage_op, tracer=None):
         from repro.faults import KIND_PLANE_OUTAGE, FaultEvent
         from repro.obs import Tracer
 
-        # op 200 lands mid-fill: active superblocks already hold plane-0
-        # members, so the next program on one FAILs and triggers the purge
         plan = FaultPlan(
             events=[
-                FaultEvent(kind=KIND_PLANE_OUTAGE, chip=0, plane=0, at_op=200)
+                FaultEvent(
+                    kind=KIND_PLANE_OUTAGE, chip=0, plane=0, at_op=outage_op
+                )
             ]
         )
         params = VariationParams(
@@ -205,19 +223,7 @@ class TestPlaneOutageDegradation:
         ftl.format()
         return ftl
 
-    def test_outage_purges_the_plane_and_loses_nothing(self):
-        ftl = self.build()
-        for lpn in range(ftl.logical_pages):
-            ftl.write(lpn)
-        ftl.flush()
-        metrics = ftl.metrics
-        assert metrics.plane_purges == 1
-        assert metrics.program_failures >= 1
-        assert metrics.sb_repairs >= 1
-        # an outage is degradation, not a retirement storm: only the
-        # repair's failed member was retired
-        assert metrics.blocks_retired == metrics.sb_repairs
-
+    def overwrite_and_read_back(self, ftl):
         # bounded hot-set overwrites keep flowing in degraded mode
         hot = ftl.buffer.superwl_pages * 2
         for _ in range(3):
@@ -228,11 +234,28 @@ class TestPlaneOutageDegradation:
         for lpn in range(ftl.logical_pages):
             assert ftl.read(lpn).located
 
-    def test_outage_emits_the_degraded_mode_trace_events(self):
+    def test_outage_purges_the_plane_and_loses_nothing(self, outage_op):
+        ftl = self.build(outage_op)
+        for lpn in range(ftl.logical_pages):
+            ftl.write(lpn)
+        ftl.flush()
+        metrics = ftl.metrics
+        assert metrics.plane_purges == 1
+        assert metrics.program_failures >= 1
+        assert metrics.sb_repairs >= 1
+        # an outage is degradation, not a retirement storm: only the
+        # repair's failed member was retired
+        assert metrics.blocks_retired == metrics.sb_repairs
+        after_fill, after_read_back = self.RECONSTRUCTIONS[outage_op]
+        assert metrics.parity_reconstructions == after_fill
+        self.overwrite_and_read_back(ftl)
+        assert metrics.parity_reconstructions == after_read_back
+
+    def test_outage_emits_the_degraded_mode_trace_events(self, outage_op):
         from repro.obs import Tracer
 
         tracer = Tracer()
-        ftl = self.build(tracer=tracer)
+        ftl = self.build(outage_op, tracer=tracer)
         for lpn in range(ftl.logical_pages):
             ftl.write(lpn)
         ftl.flush()
@@ -245,6 +268,23 @@ class TestPlaneOutageDegradation:
         )
         assert degraded.args["reason"] == "plane_outage"
         assert degraded.args["purged_free_blocks"] > 0
+
+    def test_mid_fill_outage_trace_is_pinned(self):
+        import hashlib
+
+        from repro.obs import Tracer
+        from repro.obs.export import to_jsonl
+
+        tracer = Tracer()
+        ftl = self.build(870, tracer=tracer)
+        for lpn in range(ftl.logical_pages):
+            ftl.write(lpn)
+        ftl.flush()
+        (repaired,) = [e for e in tracer.events if e.name == "sb_repaired"]
+        assert repaired.args["copied_lwls"] == 30
+        self.overwrite_and_read_back(ftl)
+        digest = hashlib.sha256(to_jsonl(tracer.events).encode()).hexdigest()
+        assert digest == self.MID_FILL_TRACE_SHA
 
 
 class TestParityDoubleFailures:
