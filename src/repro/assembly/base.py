@@ -9,12 +9,13 @@ machinery of the window-search methods (OPTIMAL / LWL-RANK / PWL-RANK /
 STR-RANK / STR-MED): sort every pool by block program latency first
 (Figure 7, step 1), then pick one combination out of each aligned window.
 :class:`ScoredWindowAssembler` is the greedy frame those five share: it
-scores a window's combinations once and picks every superblock of the
-window from that one score tensor.
+scores each window's combinations once and picks every superblock of a
+chunk of windows in lockstep from one score tensor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -27,6 +28,13 @@ from repro.characterization.extra_latency import (
     extra_erase_latency,
     extra_program_latency,
 )
+
+#: Bound, in bytes, on the largest temporary that one chunk of windows (or
+#: of superblocks being evaluated) builds at once.
+CHUNK_BYTES = 1 << 19
+
+#: One aligned window: the candidate blocks of each lane, in lane order.
+Window = Sequence[Sequence[BlockMeasurement]]
 
 
 @dataclass(frozen=True)
@@ -152,15 +160,14 @@ class WindowedAssembler(Assembler):
         """Pick one index per lane from the current window candidates."""
 
     def assemble_window(
-        self, windows: Sequence[List[BlockMeasurement]], lanes: Tuple[int, ...]
+        self, windows: Window, lanes: Tuple[int, ...]
     ) -> List[Superblock]:
         """Assemble one aligned window completely (``len(windows[0])`` SBs).
 
-        The default repeatedly applies :meth:`choose` to the shrinking
-        window.  Subclasses may override it to score the window once
-        (:class:`ScoredWindowAssembler`) or to refine the picks jointly
-        (:class:`~repro.assembly.optimal.OptimalAssembler`); this loop stays
-        the per-round reference they must reproduce.
+        Repeatedly applies :meth:`choose` to the shrinking window.
+        :class:`ScoredWindowAssembler` assembles whole chunks of windows
+        instead (:meth:`assemble_windows`); this loop stays the per-round
+        reference it must reproduce.
         """
         remaining = [list(window) for window in windows]
         result: List[Superblock] = []
@@ -186,64 +193,114 @@ class WindowedAssembler(Assembler):
         self.pair_checks = 0
         sorted_pools = [pool.sorted_by(lambda m: m.program_total_us) for pool in pools]
         lanes = tuple(pool.lane for pool in pools)
+        aligned = [
+            [blocks[position : min(position + self.window, count)] for blocks in sorted_pools]
+            for position in range(0, count, self.window)
+        ]
+        return self.assemble_windows(aligned, lanes)
+
+    def assemble_windows(
+        self, aligned: Sequence[Window], lanes: Tuple[int, ...]
+    ) -> List[Superblock]:
+        """Assemble the aligned windows in order, one :meth:`assemble_window` each."""
         result: List[Superblock] = []
-        position = 0
-        while position < count:
-            width = min(self.window, count - position)
-            windows = [blocks[position : position + width] for blocks in sorted_pools]
+        for windows in aligned:
             result.extend(self.assemble_window(windows, lanes))
-            position += width
         return result
 
 
 class ScoredWindowAssembler(WindowedAssembler):
     """Greedy window search over a score that ignores earlier picks.
 
-    :meth:`score_window` gives every combination of a window a score
+    :meth:`score_windows` gives every combination of a window a score
     (lower is better) that depends only on the combination's own blocks.
-    So the window is scored once: each round takes the first C-order
-    minimum of that tensor restricted to the blocks still unpicked, which
-    is exactly what :meth:`choose` returns when it rescores the shrunk
-    window.  The counters still follow the paper's accounting, one greedy
-    round over the remaining window at a time (:meth:`count_round`).
+    So each window is scored once, and the windows of a chunk go through
+    the greedy rounds in lockstep: each round takes every window's first
+    C-order minimum over the combinations whose blocks are all unpicked
+    (a picked block's combinations are masked with ``inf``).  That is
+    exactly what :meth:`choose` returns when it rescores the shrunk window.
+    The counters still follow the paper's accounting, one greedy round
+    over each remaining window at a time (:meth:`count_round`).
     """
 
     @abstractmethod
-    def score_window(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
-        """Score of every combination, shape ``tuple(len(w) for w in windows)``."""
+    def score_windows(self, chunk: Sequence[Window]) -> np.ndarray:
+        """Scores of every combination of each window of ``chunk``.
+
+        The windows share their sizes; the result has shape
+        ``(len(chunk), *sizes)`` and belongs to the caller.
+        """
 
     def count_round(self, sizes: Sequence[int]) -> None:
         """Charge one greedy round over a window of ``sizes`` to the counters."""
         self.combinations_checked += math.prod(sizes)
 
-    def _scores(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
-        if len(windows) < 2:
+    def _scores(self, chunk: Sequence[Window]) -> np.ndarray:
+        if len(chunk[0]) < 2:
             raise ValueError(f"{self.name} assembly needs at least two lanes")
-        return self.score_window(windows)
+        return self.score_windows(chunk)
 
-    def choose(self, windows: Sequence[Sequence[BlockMeasurement]]) -> Tuple[int, ...]:
-        scores = self._scores(windows)
+    def choose(self, windows: Window) -> Tuple[int, ...]:
+        scores = self._scores([windows])[0]
         self.count_round(scores.shape)
         return _first_minimum(scores)
 
-    def assemble_window(
-        self, windows: Sequence[List[BlockMeasurement]], lanes: Tuple[int, ...]
+    def assemble_windows(
+        self, aligned: Sequence[Window], lanes: Tuple[int, ...]
     ) -> List[Superblock]:
-        scores = self._scores(windows)
-        unpicked = [list(range(len(window))) for window in windows]
+        """Assemble runs of same-sized windows a chunk at a time.
+
+        Only the last window can be narrower; it is a chunk of one.
+        """
         result: List[Superblock] = []
-        for _ in range(len(windows[0])):
-            round_scores = scores
-            for axis, indices in enumerate(unpicked):
-                round_scores = round_scores.take(indices, axis=axis)
-            self.count_round(round_scores.shape)
-            picks = _first_minimum(round_scores)
-            members = tuple(
-                window[indices.pop(pick)]
-                for window, indices, pick in zip(windows, unpicked, picks)
-            )
-            result.append(Superblock(members=members, lanes=lanes))
+        for _, run in itertools.groupby(aligned, key=lambda w: [len(lane) for lane in w]):
+            windows = list(run)
+            step = _windows_per_chunk(windows[0])
+            for start in range(0, len(windows), step):
+                for superblocks in self._assemble_chunk(windows[start : start + step], lanes):
+                    result.extend(superblocks)
         return result
+
+    def _assemble_chunk(
+        self, chunk: Sequence[Window], lanes: Tuple[int, ...]
+    ) -> List[List[Superblock]]:
+        """The greedy rounds of same-sized windows, in lockstep."""
+        scores = self._scores(chunk)
+        count, sizes = scores.shape[0], scores.shape[1:]
+        every = np.arange(count)
+        picks: List[np.ndarray] = []
+        for taken in range(sizes[0]):
+            remaining = [size - taken for size in sizes]
+            for _ in range(count):
+                self.count_round(remaining)
+            chosen = np.unravel_index(scores.reshape(count, -1).argmin(axis=1), sizes)
+            for axis, index in enumerate(chosen):
+                np.moveaxis(scores, axis + 1, 1)[every, index] = np.inf
+            picks.append(np.stack(chosen, axis=1))
+        by_window = np.stack(picks, axis=1).tolist()  # (count, rounds, lanes)
+        return [
+            [
+                Superblock(
+                    members=tuple(window[pick] for window, pick in zip(windows, combo)),
+                    lanes=lanes,
+                )
+                for combo in combos
+            ]
+            for windows, combos in zip(chunk, by_window)
+        ]
+
+
+def _windows_per_chunk(windows: Window) -> int:
+    """How many windows shaped like ``windows`` one chunk holds.
+
+    A window's largest temporaries are its float score tensor, one lane's
+    float latency stack and one lane pair's boolean signature comparison.
+    """
+    sizes = [len(lane) for lane in windows]
+    widest = max(sizes)
+    lwls = windows[0][0].wl_latencies_us.size
+    per_window = max(8 * math.prod(sizes), 8 * widest * lwls, widest * widest * lwls)
+    return max(1, CHUNK_BYTES // per_window)
 
 
 def _first_minimum(scores: np.ndarray) -> Tuple[int, ...]:
@@ -255,12 +312,14 @@ def _first_minimum(scores: np.ndarray) -> Tuple[int, ...]:
 def pairwise_signature_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance matrix between two signature stacks.
 
-    ``a`` is ``(Wa, L)``, ``b`` is ``(Wb, L)``; entry (i, j) counts positions
-    where the signatures disagree — Equation 1's SIM sum for one block pair.
+    ``a`` is ``(..., Wa, L)``, ``b`` is ``(..., Wb, L)`` with the same
+    leading axes (one per chunk of windows, or none); entry (..., i, j)
+    counts positions where the signatures disagree — Equation 1's SIM sum
+    for one block pair.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1:] != b.shape[-1:]:
         raise ValueError(f"signature shapes disagree: {a.shape} vs {b.shape}")
-    return (a[:, None, :] != b[None, :, :]).sum(axis=2)
+    return (a[..., :, None, :] != b[..., None, :, :]).sum(axis=-1)
 
 
 def min_total_distance_combo(
@@ -281,15 +340,20 @@ def summed_distances(
     distance_matrices: Dict[Tuple[int, int], np.ndarray],
     window_sizes: Sequence[int],
 ) -> np.ndarray:
-    """Summed pairwise distance of every combination, shape ``window_sizes``."""
+    """Summed pairwise distance of every combination, shape ``window_sizes``.
+
+    Matrices with leading axes ``(..., Wi, Wj)`` (a chunk of windows) give
+    sums of shape ``(..., *window_sizes)``.
+    """
     n = len(window_sizes)
     shape = tuple(window_sizes)
-    total = np.zeros(shape)
+    lead = next(iter(distance_matrices.values())).shape[:-2] if distance_matrices else ()
+    total = np.zeros(lead + shape)
     for (i, j), matrix in distance_matrices.items():
         if not 0 <= i < j < n:
             raise ValueError(f"bad lane pair ({i}, {j})")
         expand = [1] * n
         expand[i] = shape[i]
         expand[j] = shape[j]
-        total = total + matrix.reshape(expand)
+        total += matrix.reshape(lead + tuple(expand))
     return total

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.assembly.base import Assembler, LanePool, Superblock
+from repro.assembly.base import CHUNK_BYTES, Assembler, LanePool, Superblock
+from repro.characterization.extra_latency import extra_program_latencies
 from repro.utils.stats import RunningStats
 from repro.utils.units import improvement_pct
 
@@ -67,10 +68,23 @@ def collect_result(
     superblocks: Sequence[Superblock],
     assembler: Optional[Assembler] = None,
 ) -> MethodResult:
+    """Extra latencies of ``superblocks`` (and the assembler's counters).
+
+    Extra program latency is computed for a chunk of superblocks at a time
+    from one ``(chunk, lanes, lwls)`` stack, each within ``CHUNK_BYTES``;
+    every superblock's value equals its ``extra_program_latency_us``.
+    """
     result = MethodResult(name=name)
-    for superblock in superblocks:
-        result.extra_program_us.append(superblock.extra_program_latency_us)
-        result.extra_erase_us.append(superblock.extra_erase_latency_us)
+    if superblocks:
+        first = superblocks[0].members
+        per_superblock = 8 * len(first) * first[0].wl_latencies_us.size
+        step = max(1, CHUNK_BYTES // per_superblock)
+        for start in range(0, len(superblocks), step):
+            chunk = superblocks[start : start + step]
+            result.extra_program_us.extend(
+                extra_program_latencies([sb.members for sb in chunk])
+            )
+    result.extra_erase_us = [sb.extra_erase_latency_us for sb in superblocks]
     if assembler is not None:
         result.combinations_checked = getattr(assembler, "combinations_checked", 0)
         result.pair_checks = getattr(assembler, "pair_checks", 0)

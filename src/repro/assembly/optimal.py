@@ -23,13 +23,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.assembly.base import ScoredWindowAssembler, Superblock
-from repro.characterization.datasets import BlockMeasurement
-
-
-def _extra_of(stack: np.ndarray) -> float:
-    """Extra program latency of member latency rows stacked as (k, L)."""
-    return float((stack.max(axis=0) - stack.min(axis=0)).sum())
+from repro.assembly.base import ScoredWindowAssembler, Superblock, Window
+from repro.characterization.extra_latency import extra_program_latencies
 
 
 def _combination_extremes(stacks: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -63,19 +58,26 @@ class OptimalAssembler(ScoredWindowAssembler):
 
     # -- greedy exhaustive pick ---------------------------------------------
 
-    def score_window(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
-        """Summed extra program latency of every combination of the window."""
+    def score_windows(self, chunk: Sequence[Window]) -> np.ndarray:
+        """Summed extra program latency of every combination of each window."""
+        sizes = tuple(len(window) for window in chunk[0])
+        totals = np.empty((len(chunk), *sizes))
+        for windows, window_totals in zip(chunk, totals):
+            self._score_window_into(windows, window_totals)
+        return totals
+
+    @staticmethod
+    def _score_window_into(windows: Window, totals: np.ndarray) -> None:
         stacks = [
             np.stack([m.lwl_latencies() for m in window]) for window in windows
         ]  # each (Wi, L)
-        sizes = tuple(stack.shape[0] for stack in stacks)
+        sizes = totals.shape
         # Chunk over every lane but the last two, so each chunk's gaps are a
         # cache-sized W^2 x L grid; each row of L gaps is summed on its own,
         # so a total does not depend on how the window is chunked.
         split = max(1, len(stacks) - 2)
         head_max, head_min = _combination_extremes(stacks[:split])
         tail_max, tail_min = _combination_extremes(stacks[split:])
-        totals = np.empty(sizes)
         high = np.empty(tail_max.shape)
         low = np.empty(tail_min.shape)
         for index in np.ndindex(*sizes[:split]):
@@ -83,14 +85,16 @@ class OptimalAssembler(ScoredWindowAssembler):
             np.minimum(tail_min, head_min[index], out=low)
             np.subtract(high, low, out=high)
             high.sum(axis=-1, out=totals[index])
-        return totals
 
     # -- window assembly with 2-opt refinement ----------------------------------
 
-    def assemble_window(
-        self, windows: Sequence[List[BlockMeasurement]], lanes: Tuple[int, ...]
-    ) -> List[Superblock]:
-        return self.refine(super().assemble_window(windows, lanes), lanes)
+    def _assemble_chunk(
+        self, chunk: Sequence[Window], lanes: Tuple[int, ...]
+    ) -> List[List[Superblock]]:
+        return [
+            self.refine(superblocks, lanes)
+            for superblocks in super()._assemble_chunk(chunk, lanes)
+        ]
 
     def refine(
         self, superblocks: List[Superblock], lanes: Tuple[int, ...]
@@ -103,7 +107,9 @@ class OptimalAssembler(ScoredWindowAssembler):
         every superblock's max and min over its other lanes unchanged, so
         one ``(count, count)`` matrix per lane pass holds the extra latency
         of superblock ``s`` with ``t``'s lane-``l`` member; a taken swap
-        exchanges two of its columns.
+        exchanges two of its columns.  Windows are refined one at a time:
+        one pass's ``(count, count, L)`` gaps fit in a core's cache, and a
+        chunk of windows at once measured slower.
         """
         count = len(superblocks)
         if count < 2 or self.refine_passes == 0:
@@ -113,7 +119,7 @@ class OptimalAssembler(ScoredWindowAssembler):
         rows = np.stack(
             [[m.lwl_latencies() for m in lane_members] for lane_members in members]
         )  # (lanes, count, L)
-        extras = [_extra_of(rows[:, s]) for s in range(count)]
+        extras = extra_program_latencies([sb.members for sb in superblocks])
         high = np.empty((count, count, rows.shape[2]))
         low = np.empty(high.shape)
 

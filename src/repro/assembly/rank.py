@@ -3,18 +3,21 @@
 All four share the greedy frame of :class:`ScoredWindowAssembler` and
 Equation 1's distance (positions where two blocks' signatures disagree,
 summed over every lane pair of a candidate combination); they differ only in
-the signature kernel.  A window's signatures and lane-pair distance matrices
-are computed once; the greedy rounds then read them for the unpicked blocks.
+the signature kernel.  Signatures and lane-pair distance matrices are
+computed once for a whole chunk of windows (one kernel call per lane, one
+comparison per lane pair); the greedy rounds then read them for the
+unpicked blocks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.assembly.base import (
     ScoredWindowAssembler,
+    Window,
     pairwise_signature_distances,
     summed_distances,
 )
@@ -24,7 +27,6 @@ from repro.assembly.signatures import (
     str_median_bits,
     str_ranks,
 )
-from repro.characterization.datasets import BlockMeasurement
 from repro.perf.profiler import perf_scope
 
 
@@ -39,12 +41,14 @@ class RankWindowAssembler(ScoredWindowAssembler):
         super().__init__(window)
         self._kernel = kernel
 
-    def score_window(self, windows: Sequence[Sequence[BlockMeasurement]]) -> np.ndarray:
-        sizes = [len(window) for window in windows]
-        latencies = np.stack([m.wl_latencies_us for window in windows for m in window])
-        with perf_scope("assembly.signatures"):
-            signatures = self._kernel(latencies).reshape(len(latencies), -1)
-        stacks = np.split(signatures, np.cumsum(sizes)[:-1])
+    def score_windows(self, chunk: Sequence[Window]) -> np.ndarray:
+        sizes = [len(window) for window in chunk[0]]
+        stacks: List[np.ndarray] = []
+        for lane, size in enumerate(sizes):
+            latencies = np.array([m.wl_latencies_us for windows in chunk for m in windows[lane]])
+            with perf_scope("assembly.signatures"):
+                signatures = self._kernel(latencies)
+            stacks.append(signatures.reshape(len(chunk), size, -1))
         matrices: Dict[Tuple[int, int], np.ndarray] = {
             (i, j): pairwise_signature_distances(stacks[i], stacks[j])
             for i in range(len(stacks))

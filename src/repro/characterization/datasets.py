@@ -9,6 +9,7 @@ P/E count at which the measurement was taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -29,9 +30,15 @@ class BlockMeasurement:
         if self.wl_latencies_us.ndim != 2:
             raise ValueError("wl_latencies_us must be (layers, strings)")
 
-    @property
+    @cached_property
     def program_total_us(self) -> float:
-        """Block program latency — the paper's BLK PGM LTN (sum of all LWLs)."""
+        """Block program latency — the paper's BLK PGM LTN (sum of all LWLs).
+
+        Summed once per measurement: the matrix is read-only, and the
+        windowed directions sort every pool by it.  The cache lives in the
+        instance ``__dict__``, outside the dataclass fields, so equality,
+        hashing and ``repr`` do not see it.
+        """
         return float(self.wl_latencies_us.sum())
 
     @property

@@ -14,23 +14,37 @@ superblock takes in the offline assembly study.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.characterization.datasets import BlockMeasurement
 
 
-def _stack_wl_latencies(members: Sequence[BlockMeasurement]) -> np.ndarray:
-    """Stack member blocks' per-LWL latencies, shape ``(k, lwls)``."""
-    if len(members) < 2:
-        raise ValueError("a superblock needs at least two member blocks")
-    flats = [m.lwl_latencies() for m in members]
-    width = flats[0].shape[0]
-    for flat in flats[1:]:
-        if flat.shape[0] != width:
-            raise ValueError("member blocks disagree on word-line count")
-    return np.stack(flats)
+def extra_program_latencies(
+    groups: Sequence[Sequence[BlockMeasurement]],
+) -> List[float]:
+    """Total extra program latency of each superblock in ``groups``, µs.
+
+    The one formula behind :func:`extra_program_latency`: the members'
+    latencies are stacked as one C-ordered ``(n, k, lwls)`` array, and each
+    superblock's gaps are summed over the contiguous word-line axis, so a
+    superblock's total does not depend on how many are stacked with it.
+    Every superblock needs the same number (at least two) of members, and
+    every member the same word-line matrix shape (``np.array`` raises
+    ``ValueError`` otherwise).
+    """
+    if not groups:
+        return []
+    width = len(groups[0])
+    if width < 2 or any(len(members) != width for members in groups):
+        raise ValueError(
+            "every superblock needs the same number (at least two) of members"
+        )
+    matrices = [m.wl_latencies_us for members in groups for m in members]
+    stack = np.array(matrices).reshape(len(groups), width, -1)
+    gaps = stack.max(axis=1) - stack.min(axis=1)
+    return gaps.sum(axis=1).tolist()
 
 
 def extra_program_latency(members: Sequence[BlockMeasurement]) -> float:
@@ -38,9 +52,7 @@ def extra_program_latency(members: Sequence[BlockMeasurement]) -> float:
 
     Sum over super word-lines of (slowest - fastest) member tPROG.
     """
-    stacked = _stack_wl_latencies(members)
-    gaps = stacked.max(axis=0) - stacked.min(axis=0)
-    return float(gaps.sum())
+    return extra_program_latencies([members])[0]
 
 
 def extra_erase_latency(members: Sequence[BlockMeasurement]) -> float:
@@ -49,4 +61,3 @@ def extra_erase_latency(members: Sequence[BlockMeasurement]) -> float:
         raise ValueError("a superblock needs at least two member blocks")
     latencies = [m.erase_latency_us for m in members]
     return max(latencies) - min(latencies)
-

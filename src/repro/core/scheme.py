@@ -232,8 +232,8 @@ class QstrMedAssembler(Assembler):
         by_key: Dict[Tuple[int, int, int], BlockMeasurement] = {}
         for pool in pools:
             catalog = BlockCatalog(pool.lane)
+            unit = GatheringUnit(_measurement_geometry(pool.blocks))
             for measurement in pool.blocks:
-                unit = GatheringUnit(_measurement_geometry(measurement))
                 record = unit.gather_measurement(
                     pool.lane,
                     measurement.plane,
@@ -262,11 +262,16 @@ class QstrMedAssembler(Assembler):
         return result
 
 
-def _measurement_geometry(measurement: BlockMeasurement) -> NandGeometry:
-    """A geometry stub matching a measurement's word-line matrix shape."""
+def _measurement_geometry(measurements: Sequence[BlockMeasurement]) -> NandGeometry:
+    """A geometry stub holding every measured block of one pool.
+
+    Sized to the pool's largest plane and block index, with the first
+    measurement's word-line matrix shape (the gathering unit rejects a
+    block of any other shape).
+    """
     return NandGeometry(
-        planes_per_chip=max(1, measurement.plane + 1),
-        blocks_per_plane=max(1, measurement.block + 1),
-        layers_per_block=measurement.layers,
-        strings_per_layer=measurement.strings,
+        planes_per_chip=max(m.plane for m in measurements) + 1,
+        blocks_per_plane=max(m.block for m in measurements) + 1,
+        layers_per_block=measurements[0].layers,
+        strings_per_layer=measurements[0].strings,
     )

@@ -163,7 +163,14 @@ class GlobalMutableWrittenInWorker(ProgramRule):
 
 @register_rule
 class NonPicklableIntoPool(ProgramRule):
-    """PROC002: a lambda/closure is submitted to a process pool."""
+    """PROC002: a lambda/closure is submitted to a process pool.
+
+    A local name counts as a pool when an assignment or ``with`` binds it
+    to a ``ProcessPoolExecutor(...)`` call, also as either arm of a
+    conditional expression or an operand of ``and``/``or``
+    (``pool = ProcessPoolExecutor() if workers > 1 else None``).  A pool
+    passed in as a parameter or kept on an attribute is out of scope.
+    """
 
     code = "PROC002"
     name = "non-picklable-into-pool"
@@ -236,13 +243,22 @@ class NonPicklableIntoPool(ProgramRule):
                     )
         return findings
 
-    @staticmethod
+    @classmethod
     def _mark_executor(
+        cls,
         info: ModuleInfo,
         value: ast.expr,
         targets: List[ast.expr],
         executors: Set[str],
     ) -> None:
+        if isinstance(value, ast.IfExp):
+            for arm in (value.body, value.orelse):
+                cls._mark_executor(info, arm, targets, executors)
+            return
+        if isinstance(value, ast.BoolOp):
+            for operand in value.values:
+                cls._mark_executor(info, operand, targets, executors)
+            return
         if not isinstance(value, ast.Call):
             return
         dotted = dotted_name(value.func)

@@ -8,17 +8,20 @@ committed ``BENCH_baseline.json``:
   (the macro number; also profiled once for per-layer wall-time shares);
 * ``replay_scaled``  — the same replay on a scaled-up geometry, so
   per-op costs that only bite at size are visible; its replay phase is
-  also timed alone on both execution backends (``replay_phase_scalar``
-  / ``replay_phase_vector``), yielding ``replay_vector_speedup`` — the
-  number the vectorization ROADMAP item gates on;
+  also timed alone on both execution backends, interleaved
+  (``replay_phase_scalar`` / ``replay_phase_vector``), yielding
+  ``replay_vector_speedup`` — the number the vectorization ROADMAP item
+  gates on;
 * ``signatures``     — raw signature-kernel throughput over measured
   blocks;
 * ``sweep``          — cold vs warm wall-clock of a tiny cached methods
   sweep (orchestration + cache overhead, not simulation).
 
-Each timed bench runs ``repetitions`` times and reports the **median**
-wall time (throughput is recomputed from the median), which is robust to
-one-off scheduler noise without needing long runs.  The resulting
+Each timed bench runs ``repetitions`` times (the vector replay phase as
+often as its shorter replays need to match the scalar phase's time) and
+reports the **median** wall time (throughput is recomputed from the
+median), which is robust to one-off scheduler noise without needing long
+runs.  The resulting
 document follows :mod:`repro.perf.schema` and carries per-metric noise
 bands consumed by :mod:`repro.perf.compare`.
 
@@ -38,7 +41,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy
 
@@ -133,6 +136,11 @@ def _timed_reps(fn: Callable[[], int], repetitions: int) -> Dict[str, Any]:
         watch = Stopwatch()
         ops = fn()
         walls.append(watch.elapsed_s())
+    return _summarize(ops, walls)
+
+
+def _summarize(ops: int, walls: List[float]) -> Dict[str, Any]:
+    """A bench's repetitions: its op count, wall times, median and throughput."""
     median = _median(walls)
     return {
         "ops": ops,
@@ -177,33 +185,49 @@ def _bench_replay(config: "SimConfig", repetitions: int) -> Dict[str, Any]:
     return _timed_reps(one_rep, repetitions)
 
 
-def _bench_replay_phase(config: "SimConfig", repetitions: int) -> Dict[str, Any]:
-    """Replay-phase-only throughput: the backend speedup measurement.
+def _replay_phase_once(config: "SimConfig") -> Tuple[int, float]:
+    """Replay one fresh stack; returns (requests, seconds of ``replay`` alone).
 
     Stack construction and workload generation run the same code on both
-    backends, so timing them would dilute the vector engine's effect; each
-    repetition builds a fresh stack untimed and times ``Replayer.replay``
-    alone.
+    backends, so timing them would dilute the vector engine's effect; the
+    stack is built untimed.
     """
     from repro.exp.build import build_stack
     from repro.workloads.replay import Replayer
 
-    walls: List[float] = []
-    ops = 0
+    stack = build_stack(config)
+    requests = stack.requests()
+    watch = Stopwatch()
+    Replayer(stack.ssd).replay(requests)
+    return len(requests), watch.elapsed_s()
+
+
+def _bench_replay_phases(
+    config: "SimConfig", repetitions: int
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Replay-phase-only throughput of the scalar and vector backends.
+
+    The backend speedup measurement.  The two phases are interleaved so
+    host drift hits both alike: after each of the ``repetitions`` scalar
+    replays, vector replays run until the vector side's summed replay time
+    has caught up with the scalar side's.  The vector replay is about ten
+    times shorter, so it gets about ten times the repetitions, and neither
+    median rests on a few samples taken minutes apart from the other's.
+    """
+    scalar = config.with_(backend="scalar")
+    vector = config.with_(backend="vector")
+    walls: Dict[str, List[float]] = {"scalar": [], "vector": []}
+    ops: Dict[str, int] = {}
     for _ in range(repetitions):
-        stack = build_stack(config)
-        requests = stack.requests()
-        watch = Stopwatch()
-        Replayer(stack.ssd).replay(requests)
-        walls.append(watch.elapsed_s())
-        ops = len(requests)
-    median = _median(walls)
-    return {
-        "ops": ops,
-        "wall_s": walls,
-        "median_wall_s": median,
-        "ops_per_s": ops / median if median > 0 else 0.0,
-    }
+        ops["scalar"], wall = _replay_phase_once(scalar)
+        walls["scalar"].append(wall)
+        while sum(walls["vector"]) < sum(walls["scalar"]):
+            ops["vector"], wall = _replay_phase_once(vector)
+            walls["vector"].append(wall)
+    return (
+        _summarize(ops["scalar"], walls["scalar"]),
+        _summarize(ops["vector"], walls["vector"]),
+    )
 
 
 def _profiled_replay_shares(config: "SimConfig") -> Dict[str, float]:
@@ -380,14 +404,8 @@ def run_suite(
     say("  replay_scaled ...")
     scaled_config = _replay_config(scale, scaled=True)
     replay_scaled = _bench_replay(scaled_config.with_(backend=backend), reps)
-    say("  replay_scaled (replay phase, scalar backend) ...")
-    replay_phase_scalar = _bench_replay_phase(
-        scaled_config.with_(backend="scalar"), reps
-    )
-    say("  replay_scaled (replay phase, vector backend) ...")
-    replay_phase_vector = _bench_replay_phase(
-        scaled_config.with_(backend="vector"), reps
-    )
+    say("  replay_scaled (replay phase, scalar and vector backends interleaved) ...")
+    replay_phase_scalar, replay_phase_vector = _bench_replay_phases(scaled_config, reps)
     vector_speedup = (
         replay_phase_vector["ops_per_s"] / replay_phase_scalar["ops_per_s"]
         if replay_phase_scalar["ops_per_s"] > 0

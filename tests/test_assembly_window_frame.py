@@ -1,7 +1,8 @@
 """Differential tests for the scored greedy frame of the window search.
 
-OPTIMAL and the four rank/STR-median directions score each window once
-(``ScoredWindowAssembler.assemble_window``).  Their references here:
+OPTIMAL and the four rank/STR-median directions score each window once and
+run the greedy rounds of a chunk of windows in lockstep
+(``ScoredWindowAssembler.assemble_windows``).  Their references here:
 
 * the base ``WindowedAssembler.assemble_window``, which rescores the shrunk
   window with ``choose`` once per round, run on the same instance;
@@ -25,12 +26,12 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import pytest
 
+import repro.assembly.base as assembly_base
 from repro.assembly import (
     LanePool,
     LwlRankAssembler,
     OptimalAssembler,
     PwlRankAssembler,
-    ScoredWindowAssembler,
     StrMedianAssembler,
     StrRankAssembler,
     Superblock,
@@ -91,7 +92,7 @@ def _outcome(superblocks: Sequence[Superblock]):
     )
 
 
-def _assemble_per_round(assembler: ScoredWindowAssembler, pools, window_method):
+def _assemble_per_round(assembler: WindowedAssembler, pools, window_method):
     """``assemble`` with ``window_method`` as each window's assembly."""
     assembler.combinations_checked = 0
     assembler.pair_checks = 0
@@ -103,30 +104,44 @@ def _assemble_per_round(assembler: ScoredWindowAssembler, pools, window_method):
 
 
 def _directions(window: int):
-    yield OptimalAssembler(window)
+    """The five scored directions; OPTIMAL without 2-opt, so it is greedy only."""
+    yield OptimalAssembler(window, refine_passes=0)
     for cls in RANK_DIRECTIONS.values():
         yield cls(window)
 
 
-# -- the frame against the per-round choose loop ------------------------------
+# -- the lockstep frame against the per-round choose loop ------------------------
 
 
 @pytest.mark.parametrize("seed", FRAME_SEEDS)
 def test_frame_matches_per_round_choose(seed):
+    """``assemble`` (a chunk of windows in lockstep) equals the per-window
+    ``choose`` loop, superblocks and counters."""
     pools, window = _random_pools(seed)
     for assembler in _directions(window):
-        frame = _assemble_per_round(
-            assembler, pools, ScoredWindowAssembler.assemble_window
-        )
+        got = assembler.assemble(pools)
+        counters = (assembler.combinations_checked, assembler.pair_checks)
         reference = _assemble_per_round(
             assembler, pools, WindowedAssembler.assemble_window
         )
-        assert _outcome(frame[0]) == _outcome(reference[0]), (
+        assert _outcome(got) == _outcome(reference[0]), (
             f"{assembler.name}: superblocks differ (seed={seed})"
         )
-        assert frame[1:] == reference[1:], (
-            f"{assembler.name}: counters {frame[1:]} vs {reference[1:]} (seed={seed})"
+        assert counters == reference[1:], (
+            f"{assembler.name}: counters {counters} vs {reference[1:]} (seed={seed})"
         )
+
+
+@pytest.mark.parametrize("seed", FRAME_SEEDS[:20])
+def test_frame_is_independent_of_chunking(seed, monkeypatch):
+    """A 1-byte bound makes every window a chunk of its own: same outcome."""
+    pools, window = _random_pools(seed)
+    for assembler in _directions(window):
+        chunked = (_outcome(assembler.assemble(pools)), assembler.combinations_checked)
+        monkeypatch.setattr(assembly_base, "CHUNK_BYTES", 1)
+        single = (_outcome(assembler.assemble(pools)), assembler.combinations_checked)
+        monkeypatch.undo()
+        assert chunked == single, f"{assembler.name}: chunking changed the outcome (seed={seed})"
 
 
 # -- the scores against brute force ---------------------------------------
@@ -178,18 +193,18 @@ def test_greedy_picks_match_brute_force(seed):
     pools, window = _random_pools(seed, max_lanes=4)
     window = min(window, 4)
     lanes = tuple(pool.lane for pool in pools)
-    pickers = [(OptimalAssembler(window), _brute_force_optimal)]
+    pickers = [(OptimalAssembler(window, refine_passes=0), _brute_force_optimal)]
     pickers += [
         (cls(window), _brute_force_rank(SIGNATURE_BUILDERS[name]))
         for name, cls in RANK_DIRECTIONS.items()
     ]
     for assembler, choose in pickers:
-        for windows in _windows(assembler, pools):
-            got = ScoredWindowAssembler.assemble_window(assembler, windows, lanes)
-            want = _greedy_with(choose, windows, lanes)
-            assert _outcome(got) == _outcome(want), (
-                f"{assembler.name}: greedy picks differ from brute force (seed={seed})"
-            )
+        aligned = list(_windows(assembler, pools))
+        got = assembler.assemble_windows(aligned, lanes)
+        want = [sb for windows in aligned for sb in _greedy_with(choose, windows, lanes)]
+        assert _outcome(got) == _outcome(want), (
+            f"{assembler.name}: greedy picks differ from brute force (seed={seed})"
+        )
 
 
 @pytest.mark.parametrize("seed", FRAME_SEEDS[:20])
@@ -276,7 +291,7 @@ def test_batched_refine_matches_per_swap_loop(seed, grid):
     )
 
 
-@pytest.mark.parametrize("seed", FRAME_SEEDS[:20])
+@pytest.mark.parametrize("seed", FRAME_SEEDS)
 def test_optimal_assemble_matches_per_round_greedy_then_per_swap(seed):
     pools, window = _random_pools(seed)
     assembler = OptimalAssembler(window)

@@ -412,6 +412,32 @@ def test_proc002_silent_for_module_level_worker_and_thread_pool() -> None:
     assert "PROC002" not in codes(findings)
 
 
+def test_proc002_fires_on_a_pool_chosen_by_a_conditional(tmp_path) -> None:
+    # A pool bound through either arm of a conditional expression, or an
+    # operand of ``or``, is still a process pool at the submit.
+    package = tmp_path / "src" / "repro" / "exp"
+    package.mkdir(parents=True)
+    (package / "pool.py").write_text(
+        textwrap.dedent(
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+
+            def ternary(items, workers):
+                pool = ProcessPoolExecutor() if workers > 1 else None
+                return [pool.submit(lambda: item) for item in items]
+
+
+            def fallback(items, workers, given=None):
+                pool = given or ProcessPoolExecutor(workers)
+                return [pool.submit(lambda: item) for item in items]
+            """
+        ).lstrip()
+    )
+    findings = [f for f in lint_paths([str(tmp_path / "src")]) if f.code == "PROC002"]
+    assert sorted(f.line for f in findings) == [6, 11]
+
+
 # ---------------------------------------------------------------- PROC003
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro.perf.bench as bench
 from repro.cli import main
+from repro.exp import SimConfig
 from repro.perf import (
     QUICK,
     SCHEMA_VERSION,
@@ -80,6 +82,31 @@ class TestSuiteDocument:
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError, match="repetitions"):
             run_suite(QUICK, repetitions=0)
+
+    def test_vector_phase_interleaves_to_match_the_scalar_time(self, suite_doc):
+        scalar = suite_doc["benches"]["replay_phase_scalar"]
+        vector = suite_doc["benches"]["replay_phase_vector"]
+        assert len(scalar["wall_s"]) == 1
+        assert sum(vector["wall_s"]) >= sum(scalar["wall_s"])
+        assert sum(vector["wall_s"][:-1]) < sum(scalar["wall_s"])
+
+
+def test_replay_phases_give_the_vector_side_its_time_budget(monkeypatch):
+    """Stub replays of fixed cost: 8 vector replays fill one scalar replay's
+    time, and each batch runs right after its scalar replay."""
+    backends = []
+    cost = {"scalar": 0.25, "vector": 0.03125}
+
+    def replay(config):
+        backends.append(config.backend)
+        return 900, cost[config.backend]
+
+    monkeypatch.setattr(bench, "_replay_phase_once", replay)
+    scalar, vector = bench._bench_replay_phases(SimConfig.device(seed=1), 3)
+    assert backends == (["scalar"] + ["vector"] * 8) * 3
+    assert scalar["wall_s"] == [0.25] * 3
+    assert vector["wall_s"] == [0.03125] * 24
+    assert (scalar["ops_per_s"], vector["ops_per_s"]) == (3600.0, 28800.0)
 
 
 class TestValidator:

@@ -14,7 +14,11 @@ import inspect
 
 import pytest
 
+import repro.analysis.experiments as experiments
 from perfbench.spans import ENTRY_POINTS, KERNEL_MODULES, LAYERS, Patches, SpanRecorder, install
+from perfbench.workloads import DIRECTIONS, Observer
+from repro.exp import SimConfig
+from repro.exp.build import build_stack
 
 
 def _entry_id(entry):
@@ -74,3 +78,20 @@ def test_install_wraps_and_restore_undoes_every_entry_point():
         patches.restore()
     after = current()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_observer_captures_one_assembly_per_method():
+    """``paper_tables`` checks for one capture per method plus the RANDOM
+    baseline.  The Observer wraps every assembler class's own ``assemble``,
+    so a subclass ``assemble`` that also ran its base's would count twice."""
+    pools = build_stack(SimConfig.testbed(seed=3, chips=2, pool_blocks=24)).pools()
+    observer = Observer(clock=None)
+    patches = Patches()
+    try:
+        observer.install(patches)
+        experiments.run_methods(pools, DIRECTIONS)
+    finally:
+        patches.restore()
+    names = [name for name, _, _ in observer.assembled]
+    assert len(names) == len(DIRECTIONS) + 1, names
+    assert len(set(names)) == len(names), names
