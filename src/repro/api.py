@@ -206,9 +206,6 @@ from repro.policy import (
     AssemblyContext,
     AssemblyPolicy,
     BanditAllocationPolicy,
-    GcCandidate,
-    GcVictimContext,
-    GcVictimPolicy,
     LatencyPredictorPolicy,
     Policy,
     PolicyConfig,
@@ -216,9 +213,6 @@ from repro.policy import (
     RepairContext,
     RepairPolicy,
     ResolvedPolicies,
-    WearCandidate,
-    WearContext,
-    WearPolicy,
     get_policy,
     make_policy,
     policy_names,
@@ -322,8 +316,8 @@ KERNELS_API = (
 )
 
 #: decision-policy registry (``repro.policy``): the seedable policy protocol
-#: behind every tuning knob, its per-point contexts, the name registry and
-#: the two learned built-ins.
+#: behind the assembly, allocation and repair decisions, its per-point
+#: contexts, the name registry and the two learned built-ins.
 POLICY_API = (
     "Policy",
     "PolicySpec",
@@ -341,12 +335,6 @@ POLICY_API = (
     "AllocationPolicy",
     "AllocationContext",
     "AllocationDecision",
-    "GcVictimPolicy",
-    "GcVictimContext",
-    "GcCandidate",
-    "WearPolicy",
-    "WearContext",
-    "WearCandidate",
     "RepairPolicy",
     "RepairContext",
     "LatencyPredictorPolicy",

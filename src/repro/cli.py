@@ -109,7 +109,11 @@ def _testbed(args: argparse.Namespace) -> SimConfig:
 
 def _evaluator(config: SimConfig) -> MethodEvaluator:
     """One evaluator over the testbed's pools, shared by every table/figure."""
-    return MethodEvaluator(build_stack(config, verbose=True).pools())
+    print(
+        f"probing {config.chips} chips x {config.pool_blocks} blocks ...",
+        file=sys.stderr,
+    )
+    return MethodEvaluator(build_stack(config).pools())
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -235,7 +239,7 @@ def _apply_policy_args(config: SimConfig, args: argparse.Namespace) -> SimConfig
                 file=sys.stderr,
             )
             raise SystemExit(2)
-        from repro.policy import POLICY_POINTS, PolicySpec, get_policy
+        from repro.policy import POLICY_POINTS, PolicySpec, make_policy
 
         if point not in POLICY_POINTS:
             print(
@@ -246,7 +250,7 @@ def _apply_policy_args(config: SimConfig, args: argparse.Namespace) -> SimConfig
             raise SystemExit(2)
         try:
             spec = PolicySpec.from_text(value)
-            get_policy(spec.name)  # unknown names fail here, not mid-run
+            make_policy(spec)  # unknown names and params fail here, not mid-run
             config = config.with_path(f"policies.{point}", spec)
         except (TypeError, ValueError) as error:
             print(f"repro: bad --policy {text!r}: {error}", file=sys.stderr)
@@ -443,6 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.exp import ResultCache, Sweep, SweepProgress, default_cache_dir
     from repro.exp import run as run_sweep
     from repro.exp.sweep import check_run_options
+    from repro.policy import resolve_policies
 
     if args.preset == "device":
         base = SimConfig.device(
@@ -478,8 +483,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_run_options(args.workers, args.retries, args.cell_timeout)
         for name, values in _parse_axes(args.over):
             sweep = sweep.over(name, values)
-        # expanding the grid builds (and so validates) every cell config
+        # expanding the grid builds (and so validates) every cell config,
+        # and building each cell's policies refuses an unknown name or param
         cells = sweep.cells()
+        for cell in cells:
+            resolve_policies(cell.config.policies)
     except ValueError as error:
         print(f"repro sweep: {error}", file=sys.stderr)
         return 2
@@ -558,18 +566,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     try:
         fleet = FleetConfig.from_spec(args.fleet) if args.fleet else FleetConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("devices", args.devices),
-                ("tenants", args.tenants),
-                ("requests_per_tenant", args.requests_per_tenant),
-                ("fault_device", args.fault_device),
-            )
-            if value is not None
-        }
-        if overrides:
-            fleet = FleetConfig.from_dict({**fleet.to_dict(), **overrides})
     except (ValueError, OSError) as error:
         print(f"repro fleet: bad fleet configuration: {error}", file=sys.stderr)
         return 2
@@ -1037,24 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="fleet configuration: 'key=value,...' over FleetConfig fields "
         "(profiles takes a +-separated list) or '@fleet.json'",
-    )
-    fleet.add_argument(
-        "--devices", type=int, default=None, help="fleet size (overrides SPEC)"
-    )
-    fleet.add_argument(
-        "--tenants", type=int, default=None, help="tenant count (overrides SPEC)"
-    )
-    fleet.add_argument(
-        "--requests-per-tenant",
-        type=int,
-        default=None,
-        help="requests per tenant stream (overrides SPEC)",
-    )
-    fleet.add_argument(
-        "--fault-device",
-        type=int,
-        default=None,
-        help="device index the --faults plan is installed on (overrides SPEC)",
     )
     fleet.add_argument("--blocks", type=int, default=24, help="blocks per plane")
     fleet.add_argument("--chips", type=int, default=4, help="chips (lanes) per device")

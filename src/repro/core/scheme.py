@@ -16,7 +16,7 @@ Two entry points:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.assembly.base import Assembler, LanePool, Superblock, check_pools
 from repro.characterization.datasets import BlockMeasurement
@@ -205,29 +205,19 @@ class QstrMedScheme:
 class QstrMedAssembler(Assembler):
     """Offline adapter: run QSTR-MED over measured pools (Table V rows).
 
-    ``demand`` optionally supplies the speed class of each successive
-    superblock (default: all FAST, i.e. drain the catalogs head-first).
+    Every superblock is assembled FAST, draining the catalogs head-first.
     """
 
     name = "qstr_med"
 
-    def __init__(
-        self,
-        candidate_depth: int = 4,
-        demand: Optional[Iterable[SpeedClass]] = None,
-    ) -> None:
+    def __init__(self, candidate_depth: int = 4) -> None:
         self.candidate_depth = candidate_depth
-        self._demand = list(demand) if demand is not None else None
         self.name = f"qstr_med({candidate_depth})"
         self.pair_checks = 0
         self.combinations_checked = 0
 
     def assemble(self, pools: Sequence[LanePool]) -> List[Superblock]:
         count = check_pools(pools)
-        if self._demand is not None and len(self._demand) < count:
-            raise ValueError(
-                f"demand supplies {len(self._demand)} classes for {count} superblocks"
-            )
         catalogs: List[BlockCatalog] = []
         by_key: Dict[Tuple[int, int, int], BlockMeasurement] = {}
         for pool in pools:
@@ -248,11 +238,8 @@ class QstrMedAssembler(Assembler):
         assembler = OnDemandAssembler(catalogs, self.candidate_depth)
         lanes = tuple(pool.lane for pool in pools)
         result: List[Superblock] = []
-        for index in range(count):
-            speed = (
-                self._demand[index] if self._demand is not None else SpeedClass.FAST
-            )
-            choice = assembler.assemble(speed)
+        for _ in range(count):
+            choice = assembler.assemble(SpeedClass.FAST)
             members = tuple(
                 by_key[choice.member_for_lane(lane).key()] for lane in lanes
             )

@@ -16,7 +16,6 @@ behave identically.
 from __future__ import annotations
 
 import os
-import sys
 from typing import List, Optional
 
 from repro.assembly.base import LanePool
@@ -291,17 +290,10 @@ def build_stack(
     *,
     tracer: Optional[NullTracer] = None,
     registry: Optional[MetricsRegistry] = None,
-    verbose: bool = False,
 ) -> Stack:
     """Build the simulation stack for ``config``.
 
     ``tracer``/``registry`` are injected into the FTL/SSD when the device
-    side of the stack is first touched; ``verbose`` narrates construction on
-    stderr (the CLI's historical behavior).
+    side of the stack is first touched.
     """
-    if verbose:
-        print(
-            f"probing {config.chips} chips x {config.pool_blocks} blocks ...",
-            file=sys.stderr,
-        )
     return Stack(config, tracer=tracer, registry=registry)

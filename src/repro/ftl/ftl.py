@@ -40,7 +40,7 @@ from repro.nand.geometry import PageType
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.perf.profiler import profiled
-from repro.policy.base import AllocationContext, GcCandidate, GcVictimContext
+from repro.policy.base import AllocationContext
 from repro.policy.resolve import ResolvedPolicies, resolve_policies
 from repro.utils.rng import derive_seed
 
@@ -133,10 +133,10 @@ class Ftl:
         self.registry = registry
         self.chips: Dict[int, FlashChip] = {lane: chip for lane, chip in enumerate(chips)}
         self.lanes = list(self.chips)
-        # Every tuning decision (assembly, stream routing, GC victim, wear
-        # victim, repair drafting) routes through one resolved policy set;
-        # None resolves the static defaults, which replicate the historical
-        # hard-coded behavior bit for bit.
+        # The three decisions a run can vary (assembly member choice, stream
+        # routing, repair drafting) route through one resolved policy set;
+        # None resolves the static defaults.  GC victim and wear rotation
+        # choice are FTL mechanics (``_pick_victim``, ``WearLeveler``).
         self.policies: ResolvedPolicies = (
             policies
             if policies is not None
@@ -854,21 +854,21 @@ class Ftl:
             self._in_gc = False
 
     def _pick_victim(self) -> Optional[ManagedSuperblock]:
-        # A fully-valid victim reclaims nothing: relocating it consumes as
-        # many pages as the erase frees, so GC would thrash forever.
-        candidates = tuple(
-            GcCandidate(
-                sb_id=sb.sb_id,
-                valid_pages=self.mapper.valid_count(sb.sb_id),
-                capacity_pages=sb.capacity_pages,
-            )
+        """Greedy victim: the sealed superblock with the fewest valid pages.
+
+        Ties go to the lower superblock id.  A fully-valid victim reclaims
+        nothing: relocating it consumes as many pages as the erase frees,
+        so GC would thrash forever.
+        """
+        valid_count = self.mapper.valid_count
+        reclaimable = (
+            sb
             for sb in self.table.sealed()
-            if self.mapper.valid_count(sb.sb_id) < sb.capacity_pages
+            if valid_count(sb.sb_id) < sb.capacity_pages
         )
-        victim_id = self.policies.gc_victim.pick(GcVictimContext(candidates))
-        if victim_id is None:
-            return None
-        return self.table.get(victim_id)
+        return min(
+            reclaimable, key=lambda sb: (valid_count(sb.sb_id), sb.sb_id), default=None
+        )
 
     @profiled("ftl.gc")
     def _collect_once(self) -> bool:
@@ -1010,7 +1010,7 @@ class Ftl:
             )
             for sb in self.table.sealed()
         )
-        victim_id = leveler.nominate(candidates, self.policies.wear)
+        victim_id = leveler.nominate(candidates)
         if victim_id is None:
             return
         # The rotation needs at least one free block per lane to relocate into.

@@ -17,12 +17,9 @@ keep holding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.nand.chip import FlashChip
-from repro.policy.base import WearCandidate, WearContext, WearPolicy
-from repro.policy.registry import make_policy
-from repro.policy.spec import DEFAULT_SPECS
 
 
 @dataclass(frozen=True)
@@ -103,42 +100,26 @@ class WearLeveler:
     # -- victim nomination ---------------------------------------------------------
 
     def nominate(
-        self,
-        candidates: Iterable[Tuple[int, Sequence[Tuple[int, int, int]]]],
-        policy: Optional[WearPolicy] = None,
+        self, candidates: Iterable[Tuple[int, Sequence[Tuple[int, int, int]]]]
     ) -> Optional[int]:
-        """Ask ``policy`` which sealed superblock to rotate, if any.
+        """The sealed superblock to rotate, if any.
 
-        ``candidates`` yields ``(superblock_id, [(lane, plane, block), ...])``;
-        the leveler scores each by mean member P/E and hands the scored set
-        (plus the overall mean) to the policy.  Returns the chosen
-        superblock id or None; a nomination counts toward
-        ``rotations_triggered``.
+        ``candidates`` yields ``(superblock_id, [(lane, plane, block), ...])``.
+        The coldest by mean member P/E wins, the first in ``candidates``
+        order on ties; a coldest candidate hotter than the mean over the
+        usable blocks is not worth rotating.  Returns the chosen superblock
+        id or None; a nomination counts toward ``rotations_triggered``.
         """
-        scored = []
+        victim: Optional[int] = None
+        victim_pe = 0.0
         for sb_id, members in candidates:
             members = list(members)
             if not members:
                 continue
             mean_pe = sum(self.pe_of(*member) for member in members) / len(members)
-            scored.append(WearCandidate(sb_id=sb_id, mean_pe=mean_pe))
-        if not scored:
-            return None
-        if policy is None:
-            policy = _default_wear_policy()
-        victim = policy.pick(
-            WearContext(
-                candidates=tuple(scored), overall_mean_pe=self.report().mean_pe
-            )
-        )
-        if victim is None:
+            if victim is None or mean_pe < victim_pe:
+                victim, victim_pe = sb_id, mean_pe
+        if victim is None or victim_pe > self.report().mean_pe:
             return None
         self.rotations_triggered += 1
         return victim
-
-
-def _default_wear_policy() -> WearPolicy:
-    """A fresh static ``wear.coldest`` instance (stateless, draws nothing)."""
-    policy = make_policy(DEFAULT_SPECS["wear"], 0)
-    assert isinstance(policy, WearPolicy)
-    return policy

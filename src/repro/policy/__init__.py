@@ -1,4 +1,4 @@
-"""repro.policy — one seedable protocol for every FTL tuning knob.
+"""repro.policy — one seedable protocol for the FTL decisions a run can vary.
 
 Specs (:class:`PolicySpec` / :class:`PolicyConfig`) are frozen value
 objects living in :class:`~repro.exp.config.SimConfig`; the registry maps
@@ -13,19 +13,12 @@ from repro.policy.base import (
     AllocationPolicy,
     AssemblyContext,
     AssemblyPolicy,
-    GcCandidate,
-    GcVictimContext,
-    GcVictimPolicy,
     Policy,
     RepairContext,
     RepairPolicy,
-    WearCandidate,
-    WearContext,
-    WearPolicy,
 )
 from repro.policy.registry import (
     POLICIES,
-    RegisteredPolicy,
     get_policy,
     make_policy,
     policy_names,
@@ -42,8 +35,6 @@ from repro.policy.spec import (
 # importing these modules populates the registry with the built-ins
 from repro.policy.learned import BanditAllocationPolicy, LatencyPredictorPolicy
 from repro.policy.static import (
-    ColdestWearPolicy,
-    MinValidGcPolicy,
     QstrAssemblyPolicy,
     QstrRepairPolicy,
     RandomRepairPolicy,
@@ -60,19 +51,12 @@ __all__ = [
     "Policy",
     "AssemblyPolicy",
     "AllocationPolicy",
-    "GcVictimPolicy",
-    "WearPolicy",
     "RepairPolicy",
     "AssemblyContext",
     "AllocationContext",
     "AllocationDecision",
-    "GcCandidate",
-    "GcVictimContext",
-    "WearCandidate",
-    "WearContext",
     "RepairContext",
     "POLICIES",
-    "RegisteredPolicy",
     "register_policy",
     "get_policy",
     "policy_names",
@@ -81,8 +65,6 @@ __all__ = [
     "resolve_policies",
     "QstrAssemblyPolicy",
     "StaticAllocationPolicy",
-    "MinValidGcPolicy",
-    "ColdestWearPolicy",
     "QstrRepairPolicy",
     "RandomRepairPolicy",
     "LatencyPredictorPolicy",

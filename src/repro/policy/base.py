@@ -1,16 +1,19 @@
 """The policy protocol: decision contexts and per-point base classes.
 
-Every tuning knob the FTL used to hard-code is now a call into one of five
-policy objects, each receiving a frozen *decision context* carrying exactly
-the facts the legacy code consulted:
+The FTL routes each decision a run can vary through one of three policy
+objects, each receiving a frozen *decision context* carrying exactly the
+facts the legacy code consulted:
 
 * :class:`AssemblyPolicy` — which candidate joins a superblock under
   assembly (the reference-anchored member choice of QSTR-MED);
 * :class:`AllocationPolicy` — which write stream a host/GC write takes
   (fast vs slow, and express vs bulk under superpage steering);
-* :class:`GcVictimPolicy` — which sealed superblock GC reclaims;
-* :class:`WearPolicy` — which sealed superblock a wear check rotates;
 * :class:`RepairPolicy` — which spare block repairs a failed member.
+
+Each point has a second implementation.  GC victim choice and wear
+rotation have one each, so they stay FTL mechanics
+(``Ftl._pick_victim``, ``WearLeveler.nominate``) until a second one earns
+them a point.
 
 Determinism contract: a policy that draws randomness must do so from its
 own ``"policy"``-labeled stream (:meth:`Policy.policy_rng`, enforced by
@@ -83,38 +86,6 @@ class AllocationDecision:
 
 
 @dataclass(frozen=True)
-class GcCandidate:
-    """One sealed superblock eligible for garbage collection."""
-
-    sb_id: int
-    valid_pages: int
-    capacity_pages: int
-
-
-@dataclass(frozen=True)
-class GcVictimContext:
-    """All reclaimable sealed superblocks, in table order."""
-
-    candidates: Tuple[GcCandidate, ...]
-
-
-@dataclass(frozen=True)
-class WearCandidate:
-    """One sealed superblock with its members' mean P/E count."""
-
-    sb_id: int
-    mean_pe: float
-
-
-@dataclass(frozen=True)
-class WearContext:
-    """Sealed superblocks a due wear check may rotate."""
-
-    candidates: Tuple[WearCandidate, ...]
-    overall_mean_pe: float
-
-
-@dataclass(frozen=True)
 class RepairContext:
     """Spare drafting after a member block failed.
 
@@ -151,8 +122,17 @@ class Policy:
 
     #: which decision point this policy serves; set by each point base.
     point: ClassVar[str] = ""
+    #: the spec parameters this policy reads; any other key is refused,
+    #: since it would fork the config hash and change nothing.
+    param_names: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(self, spec: PolicySpec, seed: int = 0) -> None:
+        unknown = sorted(set(spec.param_dict()) - set(self.param_names))
+        if unknown:
+            raise ValueError(
+                f"policy {spec.name!r} reads no parameter {', '.join(unknown)} "
+                f"(it reads: {', '.join(self.param_names) or 'none'})"
+            )
         self.spec = spec
         self.seed = seed
 
@@ -226,24 +206,6 @@ class AllocationPolicy(Policy):
         """Super-word-line completion feedback (no-op unless learning)."""
 
 
-class GcVictimPolicy(Policy):
-    """Picks the sealed superblock garbage collection reclaims."""
-
-    point: ClassVar[str] = "gc_victim"
-
-    def pick(self, context: GcVictimContext) -> Optional[int]:
-        raise NotImplementedError
-
-
-class WearPolicy(Policy):
-    """Picks the sealed superblock a due wear check rotates (or None)."""
-
-    point: ClassVar[str] = "wear"
-
-    def pick(self, context: WearContext) -> Optional[int]:
-        raise NotImplementedError
-
-
 class RepairPolicy(Policy):
     """Drafts the spare block that repairs a damaged superblock."""
 
@@ -251,13 +213,3 @@ class RepairPolicy(Policy):
 
     def draft(self, context: RepairContext) -> BlockRecord:
         raise NotImplementedError
-
-
-#: Decision-point name -> required base class, for registry validation.
-POINT_BASES = {
-    "assembly": AssemblyPolicy,
-    "allocation": AllocationPolicy,
-    "gc_victim": GcVictimPolicy,
-    "wear": WearPolicy,
-    "repair": RepairPolicy,
-}

@@ -39,10 +39,7 @@ from repro.policy.registry import register_policy
 from repro.policy.spec import PolicySpec
 
 
-@register_policy(
-    "assembly.predictor",
-    description="Online latency predictor refining eigen similarity per block",
-)
+@register_policy("assembly.predictor")
 class LatencyPredictorPolicy(AssemblyPolicy):
     """Match members on *predicted* word-line latency, learned online.
 
@@ -55,6 +52,8 @@ class LatencyPredictorPolicy(AssemblyPolicy):
     are refined by an exponential moving average (``alpha``) of measured
     program latencies.
     """
+
+    param_names = ("alpha", "warmup")
 
     def __init__(self, spec: PolicySpec, seed: int = 0) -> None:
         super().__init__(spec, seed)
@@ -107,10 +106,7 @@ class LatencyPredictorPolicy(AssemblyPolicy):
 _ARMS: Tuple[str, ...] = ("fast", "slow")
 
 
-@register_policy(
-    "allocation.bandit",
-    description="Epsilon-greedy contextual bandit steering host writes fast/slow",
-)
+@register_policy("allocation.bandit")
 class BanditAllocationPolicy(AllocationPolicy):
     """Contextual epsilon-greedy fast/slow steering for host writes.
 
@@ -125,6 +121,8 @@ class BanditAllocationPolicy(AllocationPolicy):
     when the FTL reports a flushed super word-line, the completion latency
     credits the oldest pending decisions of that stream, one per host page.
     """
+
+    param_names = ("epsilon",)
 
     def __init__(self, spec: PolicySpec, seed: int = 0) -> None:
         super().__init__(spec, seed)

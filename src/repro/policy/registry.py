@@ -1,6 +1,6 @@
 """Name-based policy registry, mirroring ``repro.exp.tasks``.
 
-Policies register under ``"<prefix>.<name>"`` (``"assembly.qstr"``,
+Policies register under ``"<point>.<name>"`` (``"assembly.qstr"``,
 ``"repair.random"``, ...); the prefix binds the policy to its decision
 point, and :func:`get_policy` resolves spec names back to classes at stack
 construction time — so unknown names fail loudly when a config is *used*,
@@ -10,63 +10,45 @@ modules import).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Type, TypeVar
 
-from repro.policy.base import POINT_BASES, Policy
-from repro.policy.spec import POINT_PREFIXES, PolicySpec
+from repro.policy.base import Policy
+from repro.policy.spec import POLICY_POINTS, PolicySpec
 
 P = TypeVar("P", bound=Type[Policy])
 
 
-@dataclass(frozen=True)
-class RegisteredPolicy:
-    """One registry entry."""
-
-    name: str
-    cls: Type[Policy]
-    point: str
-    description: str
-
-
-#: registered name -> entry; populated by the :func:`register_policy`
+#: registered name -> class; populated by the :func:`register_policy`
 #: decorators in ``repro.policy.static`` / ``repro.policy.learned`` (and by
 #: downstream packages registering their own).
-POLICIES: Dict[str, RegisteredPolicy] = {}
-
-_PREFIX_TO_POINT = {prefix: point for point, prefix in POINT_PREFIXES.items()}
+POLICIES: Dict[str, Type[Policy]] = {}
 
 
-def register_policy(name: str, *, description: str = "") -> Callable[[P], P]:
+def register_policy(name: str) -> Callable[[P], P]:
     """Class decorator: register a :class:`Policy` subclass under ``name``.
 
-    The name's prefix must match a decision point and the class must extend
-    that point's base class; duplicate names are rejected so two imports
-    cannot silently shadow each other.
+    The name's prefix must be a decision point and the class must serve
+    that point; duplicate names are rejected so two imports cannot silently
+    shadow each other.
     """
-    prefix = name.split(".", 1)[0] if "." in name else name
-    point = _PREFIX_TO_POINT.get(prefix)
-    if point is None:
+    point = name.partition(".")[0]
+    if point not in POLICY_POINTS:
         raise ValueError(
             f"policy name {name!r} must start with one of "
-            f"{sorted(_PREFIX_TO_POINT)} followed by '.'"
+            f"{sorted(POLICY_POINTS)} followed by '.'"
         )
 
     def decorator(cls: P) -> P:
-        base = POINT_BASES[point]
-        if not (isinstance(cls, type) and issubclass(cls, base)):
+        served = cls.point if isinstance(cls, type) and issubclass(cls, Policy) else None
+        if served != point:
             raise TypeError(
-                f"{name!r} must be registered on a {base.__name__} subclass"
+                f"{name!r} must be registered on a {point!r} policy class, "
+                f"not one serving {served!r}"
             )
         existing = POLICIES.get(name)
-        if existing is not None and existing.cls is not cls:
+        if existing is not None and existing is not cls:
             raise ValueError(f"policy {name!r} is already registered")
-        POLICIES[name] = RegisteredPolicy(
-            name=name,
-            cls=cls,
-            point=point,
-            description=description or (cls.__doc__ or "").strip().split("\n")[0],
-        )
+        POLICIES[name] = cls
         return cls
 
     return decorator
@@ -83,31 +65,35 @@ def _ensure_builtins() -> None:
 
 def get_policy(name: str) -> Type[Policy]:
     """The registered class for ``name``; raises on unknown names."""
-    entry = POLICIES.get(name)
-    if entry is None:
+    cls = POLICIES.get(name)
+    if cls is None:
         _ensure_builtins()
-        entry = POLICIES.get(name)
-    if entry is None:
+        cls = POLICIES.get(name)
+    if cls is None:
         raise ValueError(
             f"unknown policy {name!r}; registered: {sorted(POLICIES)}"
         )
-    return entry.cls
+    return cls
 
 
 def policy_names(point: Optional[str] = None) -> List[str]:
     """All registered names, optionally restricted to one decision point."""
-    if point is not None and point not in POINT_PREFIXES:
+    if point is not None and point not in POLICY_POINTS:
         raise ValueError(
-            f"unknown policy point {point!r}; pick from {sorted(POINT_PREFIXES)}"
+            f"unknown policy point {point!r}; pick from {sorted(POLICY_POINTS)}"
         )
     _ensure_builtins()
     return sorted(
         name
-        for name, entry in POLICIES.items()
-        if point is None or entry.point == point
+        for name, cls in POLICIES.items()
+        if point is None or cls.point == point
     )
 
 
 def make_policy(spec: PolicySpec, seed: int = 0) -> Policy:
-    """Instantiate the registered policy a spec names."""
+    """Instantiate the registered policy a spec names.
+
+    Raises ``ValueError`` on an unknown name or on a parameter the policy
+    does not read.
+    """
     return get_policy(spec.name)(spec, seed)

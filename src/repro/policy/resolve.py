@@ -11,39 +11,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.policy.base import (
-    AllocationPolicy,
-    AssemblyPolicy,
-    GcVictimPolicy,
-    Policy,
-    RepairPolicy,
-    WearPolicy,
-)
+from repro.policy.base import AllocationPolicy, AssemblyPolicy, Policy, RepairPolicy
 from repro.policy.registry import make_policy
 from repro.policy.spec import DEFAULT_SPECS, PolicyConfig, PolicySpec
 
 
 @dataclass
 class ResolvedPolicies:
-    """The five live policy instances one FTL consults."""
+    """The three live policy instances one FTL consults."""
 
     assembly: AssemblyPolicy
     allocation: AllocationPolicy
-    gc_victim: GcVictimPolicy
-    wear: WearPolicy
     repair: RepairPolicy
 
 
 def _resolve_one(point: str, spec: Optional[PolicySpec], seed: int) -> Policy:
-    if spec is None:
-        spec = DEFAULT_SPECS[point]
-    instance = make_policy(spec, seed)
-    if instance.point != point:
-        raise ValueError(
-            f"policy {spec.name!r} serves point {instance.point!r}, "
-            f"not {point!r}"
-        )
-    return instance
+    # a slot only holds specs prefixed by its point, and a registered class
+    # serves its name's prefix, so the instance serves ``point``
+    return make_policy(spec if spec is not None else DEFAULT_SPECS[point], seed)
 
 
 def resolve_policies(
@@ -57,8 +42,6 @@ def resolve_policies(
     resolved = ResolvedPolicies(
         assembly=_resolve_one("assembly", policies.assembly, seed),  # type: ignore[arg-type]
         allocation=_resolve_one("allocation", policies.allocation, seed),  # type: ignore[arg-type]
-        gc_victim=_resolve_one("gc_victim", policies.gc_victim, seed),  # type: ignore[arg-type]
-        wear=_resolve_one("wear", policies.wear, seed),  # type: ignore[arg-type]
         repair=_resolve_one("repair", policies.repair, seed),  # type: ignore[arg-type]
     )
     return resolved

@@ -20,25 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
-#: The five decision points the FTL routes through the policy layer, in the
-#: order they appear on ``SimConfig.policies``.
-POLICY_POINTS: Tuple[str, ...] = (
-    "assembly",
-    "allocation",
-    "gc_victim",
-    "wear",
-    "repair",
-)
-
-#: Registered-name prefix per decision point (``gc_victim`` policies are
-#: named ``gc.<name>`` to keep specs compact on the command line).
-POINT_PREFIXES: Dict[str, str] = {
-    "assembly": "assembly",
-    "allocation": "allocation",
-    "gc_victim": "gc",
-    "wear": "wear",
-    "repair": "repair",
-}
+#: The three decision points the FTL routes through the policy layer, in the
+#: order they appear on ``SimConfig.policies``.  A registered policy name's
+#: prefix is its point (``"repair.qstr"`` serves ``repair``).
+POLICY_POINTS: Tuple[str, ...] = ("assembly", "allocation", "repair")
 
 _SCALAR_TYPES = (str, int, float, bool)
 
@@ -155,8 +140,6 @@ class PolicySpec:
 DEFAULT_SPECS: Dict[str, PolicySpec] = {
     "assembly": PolicySpec("assembly.qstr"),
     "allocation": PolicySpec("allocation.static"),
-    "gc_victim": PolicySpec("gc.min_valid"),
-    "wear": PolicySpec("wear.coldest"),
     "repair": PolicySpec("repair.qstr"),
 }
 
@@ -172,10 +155,9 @@ def _coerce_spec(
         value = PolicySpec.from_dict(value)
     if not isinstance(value, PolicySpec):
         raise ValueError(f"policies.{point} must be a PolicySpec, got {value!r}")
-    expected = POINT_PREFIXES[point]
-    if value.prefix != expected:
+    if value.prefix != point:
         raise ValueError(
-            f"policies.{point} must name a {expected!r}-prefixed policy, "
+            f"policies.{point} must name a {point!r}-prefixed policy, "
             f"got {value.name!r}"
         )
     return value
@@ -183,7 +165,7 @@ def _coerce_spec(
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """The five policy slots of a :class:`~repro.exp.config.SimConfig`.
+    """The three policy slots of a :class:`~repro.exp.config.SimConfig`.
 
     Each slot accepts a :class:`PolicySpec`, a spec dict, or the compact
     ``"name:k=v,..."`` text form (which is what sweep axes and the CLI
@@ -194,8 +176,6 @@ class PolicyConfig:
 
     assembly: Optional[PolicySpec] = None
     allocation: Optional[PolicySpec] = None
-    gc_victim: Optional[PolicySpec] = None
-    wear: Optional[PolicySpec] = None
     repair: Optional[PolicySpec] = None
 
     def __post_init__(self) -> None:
@@ -209,12 +189,6 @@ class PolicyConfig:
     def is_default(self) -> bool:
         """True when every slot is unset (pure pre-policy behavior)."""
         return all(getattr(self, point) is None for point in POLICY_POINTS)
-
-    def spec_for(self, point: str) -> Optional[PolicySpec]:
-        if point not in POLICY_POINTS:
-            raise ValueError(f"unknown policy point {point!r}; pick from {POLICY_POINTS}")
-        spec = getattr(self, point)
-        return spec  # type: ignore[no-any-return]
 
     # -- serialization -----------------------------------------------------
 

@@ -14,7 +14,7 @@ are shared with the FTL's spare drafting (``repro.ftl.allocator``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.assembler import SpeedClass
 from repro.core.placement import WriteSource
@@ -25,12 +25,8 @@ from repro.policy.base import (
     AllocationPolicy,
     AssemblyContext,
     AssemblyPolicy,
-    GcVictimContext,
-    GcVictimPolicy,
     RepairContext,
     RepairPolicy,
-    WearContext,
-    WearPolicy,
 )
 from repro.policy.registry import register_policy
 
@@ -65,10 +61,7 @@ def choose_similar(
     return min(candidates, key=score)
 
 
-@register_policy(
-    "assembly.qstr",
-    description="QSTR-MED member choice: minimum eigen distance to the reference",
-)
+@register_policy("assembly.qstr")
 class QstrAssemblyPolicy(AssemblyPolicy):
     """The paper's pair check: popcount(XOR) against the reference block.
 
@@ -81,10 +74,7 @@ class QstrAssemblyPolicy(AssemblyPolicy):
         return closest_candidate(context.reference, context.candidates)
 
 
-@register_policy(
-    "allocation.static",
-    description="Placement-policy routing: host->fast, GC->slow, steering passthrough",
-)
+@register_policy("allocation.static")
 class StaticAllocationPolicy(AllocationPolicy):
     """The historical stream choice, verbatim from ``Ftl._stream_for``."""
 
@@ -100,46 +90,7 @@ class StaticAllocationPolicy(AllocationPolicy):
         return AllocationDecision(SpeedClass.FAST)
 
 
-@register_policy(
-    "gc.min_valid",
-    description="Greedy GC victim: fewest valid pages, superblock id tiebreak",
-)
-class MinValidGcPolicy(GcVictimPolicy):
-    """The classic greedy victim choice from ``Ftl._pick_victim``."""
-
-    def pick(self, context: GcVictimContext) -> Optional[int]:
-        if not context.candidates:
-            return None
-        return min(
-            context.candidates, key=lambda c: (c.valid_pages, c.sb_id)
-        ).sb_id
-
-
-@register_policy(
-    "wear.coldest",
-    description="Rotate the sealed superblock with the lowest mean member P/E",
-)
-class ColdestWearPolicy(WearPolicy):
-    """The threshold scheme's victim choice from ``WearLeveler``.
-
-    First-best-wins on strictly lower mean P/E (table order breaks ties),
-    and a candidate hotter than the overall mean is not worth rotating.
-    """
-
-    def pick(self, context: WearContext) -> Optional[int]:
-        best = None
-        for candidate in context.candidates:
-            if best is None or candidate.mean_pe < best.mean_pe:
-                best = candidate
-        if best is None or best.mean_pe > context.overall_mean_pe:
-            return None
-        return best.sb_id
-
-
-@register_policy(
-    "repair.qstr",
-    description="PV-aware spare drafting: speed-matched, eigen-similar to survivors",
-)
+@register_policy("repair.qstr")
 class QstrRepairPolicy(RepairPolicy):
     """The PV-aware spare choice (the default)."""
 
@@ -147,10 +98,7 @@ class QstrRepairPolicy(RepairPolicy):
         return choose_similar(context.candidates, context.survivors)
 
 
-@register_policy(
-    "repair.random",
-    description="Conventional-firmware spare drafting: any free block",
-)
+@register_policy("repair.random")
 class RandomRepairPolicy(RepairPolicy):
     """The baseline spare choice.
 

@@ -51,20 +51,20 @@ class ReplayReport:
 class Replayer:
     """Feeds a request stream to an SSD and collects the report."""
 
-    def __init__(self, ssd: "Ssd", clamp: bool = True) -> None:
+    def __init__(self, ssd: "Ssd") -> None:
         self.ssd = ssd
-        self.clamp = clamp
 
-    def replay(self, requests: Sequence[Request], drain: bool = True) -> ReplayReport:
-        """Run all requests in timestamp order; optionally drain buffers after."""
+    def replay(self, requests: Sequence[Request]) -> ReplayReport:
+        """Run all requests in timestamp order, then drain the write buffers.
+
+        Request addresses are clamped to the device's logical space first.
+        """
         ordered = sorted(requests, key=lambda r: r.time_us)
-        if self.clamp:
-            ordered = clamp_requests(ordered, self.ssd.ftl.logical_pages)
+        ordered = clamp_requests(ordered, self.ssd.ftl.logical_pages)
         report = ReplayReport()
         with perf_scope("replay.requests"):
             for request in ordered:
                 report.completed.append(self.ssd.submit(request))
-        if drain:
-            with perf_scope("replay.drain"):
-                self.ssd.ftl.flush()
+        with perf_scope("replay.drain"):
+            self.ssd.ftl.flush()
         return report

@@ -88,9 +88,6 @@ EXPECTED_EXPORTS = frozenset(
         "AssemblyPolicy",
         "BanditAllocationPolicy",
         "DEFAULT_SPECS",
-        "GcCandidate",
-        "GcVictimContext",
-        "GcVictimPolicy",
         "LatencyPredictorPolicy",
         "POLICY_POINTS",
         "Policy",
@@ -99,9 +96,6 @@ EXPECTED_EXPORTS = frozenset(
         "RepairContext",
         "RepairPolicy",
         "ResolvedPolicies",
-        "WearCandidate",
-        "WearContext",
-        "WearPolicy",
         "get_policy",
         "make_policy",
         "policy_names",

@@ -23,11 +23,11 @@ import pytest
 
 from repro.exp import SimConfig, Sweep, build_stack
 from repro.exp import run as run_sweep
-from repro.ftl import FtlConfig
 from repro.kernels import VectorFtl, VectorSsd
 from repro.obs import Tracer
 from repro.obs.export import write_jsonl
 from repro.workloads import Replayer
+from tests.test_policy_identity import _gc_heavy
 
 #: the test_policy_identity FENCE pins, which the vector backend must hit too
 VECTOR_FENCE = {
@@ -39,21 +39,6 @@ PLAIN_CONFIG_HASH = "3a5f792a954439f5"
 
 def _plain() -> SimConfig:
     return SimConfig.device(seed=7, chips=4, blocks=24, requests=600)
-
-
-def _gc_heavy() -> SimConfig:
-    return SimConfig.device(
-        seed=3,
-        chips=2,
-        blocks=20,
-        requests=1200,
-        ftl=FtlConfig(
-            usable_blocks_per_plane=16,
-            overprovision_ratio=0.40,
-            gc_low_watermark=2,
-            gc_high_watermark=4,
-        ),
-    ).with_path("workload.overwrite_fraction", 2.0)
 
 
 def _trace_digest(config: SimConfig, tmp_path: Path) -> str:

@@ -299,6 +299,27 @@ _FLEET_OUTAGE_PLAN = {
 }
 
 
+class TestFleetSpec:
+    def test_spec_sets_size_load_and_fault_device(self, capsys, tmp_path):
+        # --fleet is the one way to size a fleet: the spec's devices,
+        # tenants, requests_per_tenant and fault_device reach the summary
+        summary = tmp_path / "fleet.json"
+        argv = [
+            "fleet", "--seed", "5", "--faults", "program=0.5",
+            "--fleet", "devices=3,replicas=1,tenants=3,requests_per_tenant=5,"
+            "fault_device=2,queue_depth=8",
+            "--summary", str(summary),
+        ]
+        assert main(argv) == 0
+        assert "fleet: 3 devices x 1 replicas, 3 tenants" in capsys.readouterr().out
+        doc = json.loads(summary.read_text())
+        fleet = doc["fleet"]
+        assert (fleet["devices"], fleet["tenants"]) == (3, 3)
+        assert (fleet["requests_per_tenant"], fleet["fault_device"]) == (5, 2)
+        assert doc["requests"] == 15 and len(doc["devices"]) == 3
+        assert doc["counters"]["media_faults"] > 0
+
+
 class TestUnmappedReads:
     def test_ftl_summary_key_only_when_nonzero(self):
         from repro.ftl.metrics import FtlMetrics

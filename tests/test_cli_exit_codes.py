@@ -91,6 +91,7 @@ class TestExitTwo:
                 "needs allocator 'qstr'",
             ),
             (["run", "--repair", "random"], "unrecognized arguments"),
+            (["fleet", "--devices", "3"], "unrecognized arguments"),
             (
                 ["sweep", "--repair", "random", "--dry-run"],
                 "unrecognized arguments",
@@ -103,6 +104,22 @@ class TestExitTwo:
             (["sweep", "--retries", "-1", "--dry-run"], "retries must be >= 0"),
             (["sweep", "--cell-timeout", "0", "--dry-run"], "cell_timeout must be"),
             (["sweep", "--workers", "0", "--dry-run"], "workers must be >= 1"),
+            (
+                ["run", "--policy", "allocation=allocation.bandit:epsilonn=0.2"],
+                "reads no parameter epsilonn",
+            ),
+            (["run", "--policy", "wear=wear.rotate"], "unknown policy point 'wear'"),
+            (
+                ["sweep", "--over", "policies.allocation=allocation.nope",
+                 "--dry-run"],
+                "unknown policy 'allocation.nope'",
+            ),
+            (
+                ["sweep", "--over",
+                 "policies.allocation=allocation.bandit:epsilonn=0.2",
+                 "--dry-run"],
+                "reads no parameter epsilonn",
+            ),
         ],
         ids=[
             "sweep-bad-over",
@@ -116,6 +133,7 @@ class TestExitTwo:
             "sweep-bad-axis-value",
             "sweep-assembly-policy-on-baseline-allocator",
             "run-retired-repair-alias",
+            "fleet-retired-devices-flag",
             "sweep-retired-repair-alias",
             "lint-retired-sarif-format",
             "lint-retired-vector-report",
@@ -125,6 +143,10 @@ class TestExitTwo:
             "sweep-negative-retries",
             "sweep-zero-cell-timeout",
             "sweep-zero-workers",
+            "run-unread-policy-param",
+            "run-folded-policy-point",
+            "sweep-over-unknown-policy",
+            "sweep-over-unread-policy-param",
         ],
     )
     def test_usage_errors_exit_two(self, argv, needle, capsys):

@@ -123,13 +123,3 @@ class TestOfflineAdapter:
         s_imp = str_med.program_improvement_vs(baseline)
         assert q_imp > 0
         assert abs(q_imp - s_imp) < 6.0  # "equivalent capability" (Fig. 14)
-
-    def test_demand_schedule(self, small_pools):
-        count = min(len(p) for p in small_pools)
-        demand = [SpeedClass.FAST, SpeedClass.SLOW] * count
-        superblocks = QstrMedAssembler(4, demand=demand[:count]).assemble(small_pools)
-        assert len(superblocks) == count
-
-    def test_demand_too_short(self, small_pools):
-        with pytest.raises(ValueError):
-            QstrMedAssembler(4, demand=[SpeedClass.FAST]).assemble(small_pools)

@@ -6,6 +6,7 @@ import pytest
 from repro.ftl import Ftl, FtlConfig, WearLeveler, WearLevelingConfig
 from repro.ftl.wear_leveling import WearReport
 from repro.nand import SMALL_GEOMETRY, FlashChip, VariationModel, VariationParams
+from repro.obs import NULL_TRACER
 
 
 def make_chips(count=2, seed=17):
@@ -81,7 +82,7 @@ class TestWearLeveler:
 
 
 class TestFtlIntegration:
-    def build(self, wl: bool, seed=23):
+    def build(self, wl: bool, seed=23, tracer=NULL_TRACER):
         chips = make_chips(3, seed=seed)
         config = FtlConfig(
             usable_blocks_per_plane=12,
@@ -94,7 +95,7 @@ class TestFtlIntegration:
                 else None
             ),
         )
-        ftl = Ftl(chips, config)
+        ftl = Ftl(chips, config, tracer=tracer)
         ftl.format()
         return ftl
 

@@ -30,6 +30,7 @@ from repro.obs import Tracer
 from repro.obs.export import write_jsonl
 from repro.policy import PolicyConfig, PolicySpec
 from repro.workloads import Replayer
+import tests.test_ftl_wear_leveling as wear_tests
 
 
 def _plain() -> SimConfig:
@@ -71,6 +72,21 @@ def _faulted() -> SimConfig:
     )
 
 
+def _gc_heavy() -> SimConfig:
+    """Fill plus a 2x overwrite on a tight two-chip device: 28 collections."""
+    return SimConfig.device(
+        seed=3,
+        chips=2,
+        blocks=20,
+        ftl=FtlConfig(
+            usable_blocks_per_plane=16,
+            overprovision_ratio=0.40,
+            gc_low_watermark=2,
+            gc_high_watermark=4,
+        ),
+    ).with_path("workload.overwrite_fraction", 2.0)
+
+
 #: (config factory, config hash, pre-policy trace sha256)
 FENCE = {
     "plain": (
@@ -91,14 +107,55 @@ FENCE = {
 }
 
 
-def trace_digest(config: SimConfig, tmp_path: Path) -> str:
-    tracer = Tracer()
-    stack = build_stack(config, tracer=tracer)
-    Replayer(stack.ssd).replay(stack.requests())
+def jsonl_digest(tracer: Tracer, tmp_path: Path) -> str:
     tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "trace.jsonl"
     write_jsonl(path, tracer.events)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def trace_digest(config: SimConfig, tmp_path: Path) -> str:
+    tracer = Tracer()
+    stack = build_stack(config, tracer=tracer)
+    Replayer(stack.ssd).replay(stack.requests())
+    return jsonl_digest(tracer, tmp_path)
+
+
+def wear_rotation_digest(tmp_path: Path) -> str:
+    """The hot/cold wear-leveling run of ``test_ftl_wear_leveling``, traced."""
+    tracer = Tracer()
+    integration = wear_tests.TestFtlIntegration()
+    ftl = integration.build(wl=True, tracer=tracer)
+    integration.run_hot_cold(ftl, rounds=6)
+    rotations = [
+        event
+        for event in tracer.events
+        if event.name == "gc_reclaim" and event.args["wear_rotation"]
+    ]
+    assert (ftl.metrics.gc_runs, len(rotations)) == (99, 18)
+    return jsonl_digest(tracer, tmp_path)
+
+
+#: Trace sha256 pins of the two FTL mechanics the ``FENCE`` configs never
+#: reach (they run no collection, and ``steered``'s leveler nominates
+#: nothing): greedy GC victim choice (``_gc_heavy``: 28 collections, 46,741
+#: events, config hash ``02f7e4fbdb0f7585``) and wear rotation (99
+#: collections, 18 of them rotations, 8,479 events).  Captured at 9108f6c,
+#: when both choices were still pluggable policies; never refreshed.
+MECHANICS = {
+    "greedy_gc": "c4a9a61c7be4b575eac3108b7c1cb3b373b42181f669b05f28374563ad550e26",
+    "wear_rotation": "688939c95376fb2edf4f21f0ffc28381bf342c7af7b864723571ffff03d53a12",
+}
+
+
+def test_greedy_gc_replays_its_pinned_trace(tmp_path: Path) -> None:
+    config = _gc_heavy()
+    assert config.content_hash() == "02f7e4fbdb0f7585"
+    assert trace_digest(config, tmp_path) == MECHANICS["greedy_gc"]
+
+
+def test_wear_rotation_replays_its_pinned_trace(tmp_path: Path) -> None:
+    assert wear_rotation_digest(tmp_path) == MECHANICS["wear_rotation"]
 
 
 @pytest.mark.parametrize("name", sorted(FENCE))
@@ -122,8 +179,7 @@ def test_explicit_static_specs_normalize_to_the_default_hash() -> None:
         policies=PolicyConfig(
             assembly=PolicySpec("assembly.qstr"),
             allocation=PolicySpec("allocation.static"),
-            gc_victim=PolicySpec("gc.min_valid"),
-            wear=PolicySpec("wear.coldest"),
+            repair=PolicySpec("repair.qstr"),
         )
     )
     assert explicit.policies.is_default

@@ -25,7 +25,6 @@ from repro.policy import (
     AllocationPolicy,
     AssemblyContext,
     BanditAllocationPolicy,
-    GcVictimPolicy,
     LatencyPredictorPolicy,
     PolicyConfig,
     PolicySpec,
@@ -72,10 +71,10 @@ class TestPolicySpec:
 class TestPolicyConfig:
     def test_explicit_defaults_normalize_to_unset(self):
         config = PolicyConfig(
-            assembly="assembly.qstr", gc_victim=DEFAULT_SPECS["gc_victim"]
+            assembly="assembly.qstr", allocation=DEFAULT_SPECS["allocation"]
         )
         assert config.is_default
-        assert config.assembly is None and config.gc_victim is None
+        assert config.assembly is None and config.allocation is None
 
     def test_explicit_default_repair_normalizes_to_unset(self):
         # repair.qstr is the repair default like any other slot's default,
@@ -89,13 +88,15 @@ class TestPolicyConfig:
 
     def test_point_prefix_mismatch_rejected(self):
         with pytest.raises(ValueError, match="assembly"):
-            PolicyConfig(assembly="gc.min_valid")
+            PolicyConfig(assembly="repair.qstr")
 
     def test_dict_round_trip_and_unknown_fields(self):
         config = PolicyConfig(allocation="allocation.bandit:epsilon=0.3")
         assert PolicyConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(ValueError, match="unknown"):
-            PolicyConfig.from_dict({"gc": {"name": "gc.min_valid"}})
+        # wear rotation is an FTL mechanic, not a slot: a saved config that
+        # names it is refused, never silently ignored
+        with pytest.raises(ValueError, match="unknown PolicyConfig fields"):
+            PolicyConfig.from_dict({"wear": {"name": "wear.rotate"}})
 
     def test_with_path_coerces_spec_text(self):
         config = SimConfig.device(seed=3, blocks=24).with_path(
@@ -131,11 +132,15 @@ class TestRegistry:
                 pass
 
     def test_wrong_base_class_rejected(self):
-        with pytest.raises(TypeError, match="GcVictimPolicy"):
+        with pytest.raises(TypeError, match="'repair' policy class"):
 
-            @register_policy("gc.upstart")
-            class NotAGcPolicy(AllocationPolicy):
+            @register_policy("repair.upstart")
+            class NotARepairPolicy(AllocationPolicy):
                 pass
+
+    def test_unknown_point_prefix_rejected(self):
+        with pytest.raises(ValueError, match="must start with one of"):
+            register_policy("gc.upstart")
 
     def test_make_policy_instantiates_with_seed(self):
         policy = make_policy(PolicySpec("allocation.bandit"), seed=17)
@@ -144,9 +149,23 @@ class TestRegistry:
 
     def test_resolve_fills_every_point(self):
         resolved = resolve_policies(PolicyConfig(), seed=5)
-        assert resolved.gc_victim.name == "gc.min_valid"
-        assert isinstance(resolved.gc_victim, GcVictimPolicy)
+        assert resolved.allocation.name == "allocation.static"
+        assert isinstance(resolved.allocation, AllocationPolicy)
         assert resolved.repair.name == "repair.qstr"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "assembly.qstr:depth=9",
+            "allocation.bandit:epsilonn=0.2",
+            "assembly.predictor:alpha=0.5,warm=3",
+            "repair.random:seed=1",
+        ],
+    )
+    def test_a_parameter_nothing_reads_is_refused(self, text):
+        # accepted, it would fork the config hash and run the defaults
+        with pytest.raises(ValueError, match="reads no parameter"):
+            make_policy(PolicySpec.from_text(text))
 
 
 # ------------------------------------------------------------------ pickling
