@@ -220,7 +220,8 @@ class ScoredWindowAssembler(WindowedAssembler):
     (a picked block's combinations are masked with ``inf``).  That is
     exactly what :meth:`choose` returns when it rescores the shrunk window.
     The counters still follow the paper's accounting, one greedy round
-    over each remaining window at a time (:meth:`count_round`).
+    over each remaining window; :meth:`count_round` charges a round for
+    every window of a chunk at once.
     """
 
     @abstractmethod
@@ -231,9 +232,9 @@ class ScoredWindowAssembler(WindowedAssembler):
         ``(len(chunk), *sizes)`` and belongs to the caller.
         """
 
-    def count_round(self, sizes: Sequence[int]) -> None:
-        """Charge one greedy round over a window of ``sizes`` to the counters."""
-        self.combinations_checked += math.prod(sizes)
+    def count_round(self, sizes: Sequence[int], windows: int = 1) -> None:
+        """Charge one greedy round over ``windows`` windows of ``sizes``."""
+        self.combinations_checked += windows * math.prod(sizes)
 
     def _scores(self, chunk: Sequence[Window]) -> np.ndarray:
         if len(chunk[0]) < 2:
@@ -270,9 +271,7 @@ class ScoredWindowAssembler(WindowedAssembler):
         every = np.arange(count)
         picks: List[np.ndarray] = []
         for taken in range(sizes[0]):
-            remaining = [size - taken for size in sizes]
-            for _ in range(count):
-                self.count_round(remaining)
+            self.count_round([size - taken for size in sizes], count)
             chosen = np.unravel_index(scores.reshape(count, -1).argmin(axis=1), sizes)
             for axis, index in enumerate(chosen):
                 np.moveaxis(scores, axis + 1, 1)[every, index] = np.inf

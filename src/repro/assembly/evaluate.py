@@ -12,7 +12,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.assembly.base import CHUNK_BYTES, Assembler, LanePool, Superblock
-from repro.characterization.extra_latency import extra_program_latencies
+from repro.characterization.extra_latency import (
+    extra_erase_latencies,
+    extra_program_latencies,
+)
 from repro.utils.stats import RunningStats
 from repro.utils.units import improvement_pct
 
@@ -71,8 +74,10 @@ def collect_result(
     """Extra latencies of ``superblocks`` (and the assembler's counters).
 
     Extra program latency is computed for a chunk of superblocks at a time
-    from one ``(chunk, lanes, lwls)`` stack, each within ``CHUNK_BYTES``;
-    every superblock's value equals its ``extra_program_latency_us``.
+    from one ``(chunk, lanes, lwls)`` stack, each within ``CHUNK_BYTES``,
+    and extra erase latency for all of them from one ``(superblocks,
+    lanes)`` array; every superblock's values equal its
+    ``extra_program_latency_us`` and ``extra_erase_latency_us``.
     """
     result = MethodResult(name=name)
     if superblocks:
@@ -84,7 +89,7 @@ def collect_result(
             result.extra_program_us.extend(
                 extra_program_latencies([sb.members for sb in chunk])
             )
-    result.extra_erase_us = [sb.extra_erase_latency_us for sb in superblocks]
+    result.extra_erase_us = extra_erase_latencies([sb.members for sb in superblocks])
     if assembler is not None:
         result.combinations_checked = getattr(assembler, "combinations_checked", 0)
         result.pair_checks = getattr(assembler, "pair_checks", 0)

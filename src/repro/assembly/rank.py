@@ -56,9 +56,9 @@ class RankWindowAssembler(ScoredWindowAssembler):
         }
         return summed_distances(matrices, sizes)
 
-    def count_round(self, sizes: Sequence[int]) -> None:
-        super().count_round(sizes)
-        self.pair_checks += sum(
+    def count_round(self, sizes: Sequence[int], windows: int = 1) -> None:
+        super().count_round(sizes, windows)
+        self.pair_checks += windows * sum(
             sizes[i] * sizes[j]
             for i in range(len(sizes))
             for j in range(i + 1, len(sizes))

@@ -18,13 +18,16 @@ one ``!=``-and-sum computes Equation 1.  Each direction has one kernel over
 ``(..., layers, strings)`` latency arrays — :func:`lwl_ranks`,
 :func:`pwl_ranks`, :func:`str_ranks`, :func:`str_median_bits` — that the
 per-block ``*_signature`` builders, the window search
-(:mod:`repro.assembly.rank`, one call per window) and the batch twins in
-:mod:`repro.kernels.signatures` all call.  `repro.core.eigen` also packs the
-STR-median bits into a :class:`BitVector` for the QSTR-MED XOR path.
+(:mod:`repro.assembly.rank`, one call per lane of a chunk of windows) and
+the batch twins in :mod:`repro.kernels.signatures` all call.  The LWL and
+PWL ranks sort; the STR ranks count string pairs.  `repro.core.eigen` also
+packs the STR-median bits into a :class:`BitVector` for the QSTR-MED XOR
+path.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -67,8 +70,27 @@ def pwl_ranks(latencies: np.ndarray) -> np.ndarray:
 
 
 def str_ranks(latencies: np.ndarray) -> np.ndarray:
-    """Per-layer ranks of the strings (direction 7), shape ``(..., layers, strings)``."""
-    return _stable_ranks(np.asarray(latencies, dtype=float), axis=-1)
+    """Per-layer ranks of the strings (direction 7), shape ``(..., layers, strings)``.
+
+    The ranks a stable argsort along the strings axis gives NaN-free
+    latencies, counted pair by pair: string ``j`` starts at rank ``j``, and
+    for each string pair ``i < j`` one ``<`` over the whole stack moves
+    ``j`` ahead of ``i`` only when ``j`` is strictly faster (a tie keeps
+    the lower index first).  On a handful of strings these few whole-stack
+    comparisons cost less than a sort of every layer.
+    """
+    values = np.asarray(latencies, dtype=float)
+    strings = values.shape[-1]
+    # one contiguous row per string, over every layer of the stack
+    columns = values.reshape(math.prod(values.shape[:-1]), strings).T.copy()
+    ranks = np.empty(columns.shape, dtype=np.uint16)
+    ranks[...] = np.arange(strings, dtype=np.uint16)[:, None]
+    for i in range(strings):
+        for j in range(i + 1, strings):
+            ahead = columns[j] < columns[i]
+            ranks[i] += ahead
+            ranks[j] -= ahead
+    return ranks.T.reshape(values.shape)
 
 
 def lwl_rank_signature(measurement: BlockMeasurement) -> np.ndarray:

@@ -294,6 +294,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
             f"  {op:6s} n={int(summary['count']):6d} mean={summary['mean']:,.1f} us  "
             f"p99={summary['p99']:,.1f} us"
         )
+    if report.dropped or report.trimmed:
+        print(
+            f"  past the {ftl.logical_pages:,} logical pages: "
+            f"{report.dropped} requests dropped, {report.trimmed} trimmed"
+        )
     metrics = ftl.metrics.summary()
     for key in (
         "write_amplification",

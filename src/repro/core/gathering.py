@@ -8,6 +8,10 @@ and when the block's last word-line completes, the finished
 :class:`BlockRecord` is handed to the updater callback (normally the per-chip
 sorted catalog).  Only open blocks consume staging memory — the paper's
 point that the scheme needs no per-block latency tables.
+
+:func:`gather_stack` computes the same two quantities for a whole stack of
+fully measured blocks at once; :meth:`GatheringUnit.gather_measurement`
+is its one-block case.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.eigen import eigen_sequence, layer_eigen_bits
+from repro.core.eigen import eigen_bitvectors, layer_eigen_bits, pack_eigen_bits
 from repro.core.records import BlockRecord
 from repro.nand.geometry import NandGeometry
 from repro.utils.bitvec import BitVector
@@ -142,11 +146,9 @@ class GatheringUnit:
     ) -> BlockRecord:
         """Run a whole measured ``(layers, strings)`` block through the unit.
 
-        Builds in one pass the record that :meth:`open_block` plus one
-        :meth:`report` per word-line in LWL order would produce: the block
-        total is the same strict left fold (``np.cumsum``; ``np.sum`` pairs
-        operands differently), and the eigen sequence the same per-layer
-        STR-median bits.
+        Builds in one pass (:func:`gather_stack` on a stack of one) the
+        record that :meth:`open_block` plus one :meth:`report` per
+        word-line in LWL order would produce.
         """
         geometry = self._geometry
         matrix = np.asarray(wl_latencies, dtype=float)
@@ -157,12 +159,13 @@ class GatheringUnit:
                 f"geometry needs {shape}"
             )
         self.open_block(lane, plane, block, pe_cycles)
+        totals, eigens = gather_stack(matrix[None])
         record = BlockRecord(
             lane=lane,
             plane=plane,
             block=block,
-            pgm_total_us=float(np.cumsum(matrix)[-1]),
-            eigen=eigen_sequence(matrix),
+            pgm_total_us=float(totals[0]),
+            eigen=eigens[0],
             pe_cycles=pe_cycles,
         )
         self.complete_block(record)
@@ -182,3 +185,33 @@ class GatheringUnit:
             eigen_bits = len(state.eigen_parts) * geometry.strings_per_layer
             total += 8 + 8 * geometry.strings_per_layer + (eigen_bits + 7) // 8
         return total
+
+
+def block_program_totals(member_latencies: np.ndarray) -> np.ndarray:
+    """Program totals of a ``(members, lwls)`` table of blocks' latencies, µs.
+
+    Row ``i`` summed as the unit's running ``latency_sum += latency_us``
+    adds it in LWL order: ``np.cumsum`` is the same strict left fold,
+    whereas ``np.sum`` pairs operands differently and drifts in the last
+    ulp.
+    """
+    table = np.asarray(member_latencies, dtype=float)
+    if table.ndim != 2:
+        raise ValueError(f"expected a (members, lwls) table, got {table.shape}")
+    if table.shape[1] == 0:
+        return np.zeros(table.shape[0])
+    return np.cumsum(table, axis=1)[:, -1]
+
+
+def gather_stack(latencies: np.ndarray) -> Tuple[np.ndarray, List[BitVector]]:
+    """Program totals and eigen sequences of a ``(k, layers, strings)`` stack.
+
+    Block ``i``'s pair equals what :meth:`GatheringUnit.report` gathers
+    from its word-lines fed one by one in LWL order, bit for bit, from one
+    ``np.cumsum`` and one STR-median kernel call over the whole stack.
+    """
+    stack = np.asarray(latencies, dtype=float)
+    packed = pack_eigen_bits(stack)
+    k, layers, strings = stack.shape
+    lwls = layers * strings
+    return block_program_totals(stack.reshape(k, lwls)), eigen_bitvectors(packed, lwls)

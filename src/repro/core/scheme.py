@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.assembly.base import Assembler, LanePool, Superblock, check_pools
+import numpy as np
+
+from repro.assembly.base import CHUNK_BYTES, Assembler, LanePool, Superblock, check_pools
 from repro.characterization.datasets import BlockMeasurement
 from repro.core.assembler import (
     MemberChooser,
@@ -27,7 +29,7 @@ from repro.core.assembler import (
     SuperblockChoice,
 )
 from repro.core.catalog import BlockCatalog
-from repro.core.gathering import GatheringUnit
+from repro.core.gathering import GatheringUnit, gather_stack
 from repro.core.placement import WriteIntent, speed_class_for
 from repro.core.records import BlockRecord
 from repro.nand.geometry import NandGeometry
@@ -222,15 +224,7 @@ class QstrMedAssembler(Assembler):
         by_key: Dict[Tuple[int, int, int], BlockMeasurement] = {}
         for pool in pools:
             catalog = BlockCatalog(pool.lane)
-            unit = GatheringUnit(_measurement_geometry(pool.blocks))
-            for measurement in pool.blocks:
-                record = unit.gather_measurement(
-                    pool.lane,
-                    measurement.plane,
-                    measurement.block,
-                    measurement.wl_latencies_us,
-                    measurement.pe_cycles,
-                )
+            for measurement, record in zip(pool.blocks, gather_pool(pool)):
                 catalog.add(record)
                 by_key[record.key()] = measurement
             catalogs.append(catalog)
@@ -249,16 +243,32 @@ class QstrMedAssembler(Assembler):
         return result
 
 
-def _measurement_geometry(measurements: Sequence[BlockMeasurement]) -> NandGeometry:
-    """A geometry stub holding every measured block of one pool.
+def gather_pool(pool: LanePool) -> List[BlockRecord]:
+    """The record of every measured block of ``pool``, in pool order.
 
-    Sized to the pool's largest plane and block index, with the first
-    measurement's word-line matrix shape (the gathering unit rejects a
-    block of any other shape).
+    Gathered a chunk of blocks at a time (:func:`gather_stack`); a chunk's
+    float latency stack and the three same-sized temporaries the gather
+    makes from it (sort order, ranks, running sums) together stay within
+    ``CHUNK_BYTES``.  Every record equals what
+    :meth:`GatheringUnit.gather_measurement` returns for its block.
     """
-    return NandGeometry(
-        planes_per_chip=max(m.plane for m in measurements) + 1,
-        blocks_per_plane=max(m.block for m in measurements) + 1,
-        layers_per_block=measurements[0].layers,
-        strings_per_layer=measurements[0].strings,
-    )
+    blocks = pool.blocks
+    if not blocks:
+        return []
+    step = max(1, CHUNK_BYTES // (4 * 8 * blocks[0].wl_latencies_us.size))
+    records: List[BlockRecord] = []
+    for start in range(0, len(blocks), step):
+        chunk = blocks[start : start + step]
+        totals, eigens = gather_stack(np.array([m.wl_latencies_us for m in chunk]))
+        records.extend(
+            BlockRecord(
+                lane=pool.lane,
+                plane=m.plane,
+                block=m.block,
+                pgm_total_us=total,
+                eigen=eigen,
+                pe_cycles=m.pe_cycles,
+            )
+            for m, total, eigen in zip(chunk, totals.tolist(), eigens)
+        )
+    return records

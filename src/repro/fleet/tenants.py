@@ -88,7 +88,8 @@ def tenant_stream(
         )
     else:  # pragma: no cover — FleetConfig validates the profile set
         raise ValueError(f"unknown tenant profile {profile!r}")
-    return clamp_requests(requests, pages_per_tenant)
+    kept, _, _ = clamp_requests(requests, pages_per_tenant)
+    return kept
 
 
 def fleet_workload(

@@ -93,7 +93,11 @@ class BitVector:
 
     def hamming_distance(self, other: "BitVector") -> int:
         """popcount(self XOR other) — the QSTR-MED similarity distance."""
-        return (self ^ other).popcount()
+        if self._length != other._length:
+            raise ValueError(
+                f"length mismatch: {self._length} vs {other._length}"
+            )
+        return (self._value ^ other._value).bit_count()
 
     # -- container protocol --------------------------------------------------
 

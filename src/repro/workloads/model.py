@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 
 class OpKind(Enum):
@@ -47,15 +47,23 @@ class Request:
         return self.lpn + self.pages - 1
 
 
-def clamp_requests(requests: List[Request], logical_pages: int) -> List[Request]:
-    """Drop or trim requests that run past the device's logical space."""
+def clamp_requests(
+    requests: List[Request], logical_pages: int
+) -> Tuple[List[Request], int, int]:
+    """Drop or trim requests that run past the device's logical space.
+
+    Returns the requests kept, in order, then how many were dropped
+    (they start past the end) and how many trimmed (they run past it).
+    """
     result: List[Request] = []
+    trimmed = 0
     for request in requests:
         if request.lpn >= logical_pages:
             continue
         if request.end_lpn < logical_pages:
             result.append(request)
         else:
+            trimmed += 1
             result.append(
                 Request(
                     time_us=request.time_us,
@@ -64,4 +72,4 @@ def clamp_requests(requests: List[Request], logical_pages: int) -> List[Request]
                     pages=logical_pages - request.lpn,
                 )
             )
-    return result
+    return result, len(requests) - len(result), trimmed

@@ -15,9 +15,16 @@ from repro.workloads.model import OpKind, Request, clamp_requests
 
 @dataclass
 class ReplayReport:
-    """Latency outcome of one replay."""
+    """Latency outcome of one replay.
+
+    ``dropped`` and ``trimmed`` count the requests the clamp to the
+    device's logical space dropped (they start past its end) and trimmed
+    (they run past it).
+    """
 
     completed: List["CompletedRequest"] = field(default_factory=list)
+    dropped: int = 0
+    trimmed: int = 0
 
     def latencies(self, op: Optional[OpKind] = None) -> List[float]:
         return [
@@ -57,11 +64,12 @@ class Replayer:
     def replay(self, requests: Sequence[Request]) -> ReplayReport:
         """Run all requests in timestamp order, then drain the write buffers.
 
-        Request addresses are clamped to the device's logical space first.
+        Request addresses are clamped to the device's logical space first;
+        the report counts the requests that dropped and trimmed.
         """
         ordered = sorted(requests, key=lambda r: r.time_us)
-        ordered = clamp_requests(ordered, self.ssd.ftl.logical_pages)
-        report = ReplayReport()
+        ordered, dropped, trimmed = clamp_requests(ordered, self.ssd.ftl.logical_pages)
+        report = ReplayReport(dropped=dropped, trimmed=trimmed)
         with perf_scope("replay.requests"):
             for request in ordered:
                 report.completed.append(self.ssd.submit(request))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.assembly.signatures import (
+    _stable_ranks,
     lwl_rank_signature,
     lwl_ranks,
     pwl_rank_signature,
@@ -156,3 +157,37 @@ class TestRankKernelsOverStacks:
                 assert list(str_ranks(block)[layer]) == _plain_ranks(
                     list(block[layer])
                 ), f"str seed={seed}"
+
+
+class TestStrRanksCountPairs:
+    """``str_ranks`` counts string pairs; the stable argsort is its reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_stacks_match_the_stable_argsort(self, seed):
+        rng = np.random.default_rng(seed)
+        lead = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+        shape = lead + (int(rng.integers(1, 7)), int(rng.integers(1, 9)))
+        if seed % 2:
+            values = rng.integers(0, 3, size=shape).astype(float)  # dense ties
+        else:
+            values = rng.uniform(1000.0, 1100.0, shape)
+        ranks = str_ranks(values)
+        assert ranks.shape == values.shape and ranks.dtype == np.uint16
+        assert np.array_equal(ranks, _stable_ranks(values, axis=-1)), f"seed={seed}"
+
+    @pytest.mark.parametrize("strings", range(1, 9))
+    def test_forced_ties(self, strings):
+        rng = np.random.default_rng(strings)
+        twins = np.repeat(rng.permutation(strings), 2)[:strings]  # equal pairs
+        layers = np.stack(
+            [
+                np.full(strings, 1700.0),  # an all-equal layer
+                rng.permutation(twins).astype(float),
+                rng.permutation(twins)[::-1].astype(float),
+            ]
+        )
+        stack = np.stack([layers, layers[::-1]])
+        assert np.array_equal(str_ranks(stack), _stable_ranks(stack, axis=-1))
+        assert list(str_ranks(layers[0])) == list(range(strings))
+        single = layers[1:2]  # a single layer
+        assert np.array_equal(str_ranks(single), _stable_ranks(single, axis=-1))

@@ -92,6 +92,26 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "WRITE" in out
+        assert "past the" not in out  # an in-range trace prints no clamp line
+
+    def test_replay_counts_requests_past_the_logical_space(self, capsys, tmp_path):
+        # 100 one-page writes whose LPNs step by 1,000: only the first three
+        # start inside the 2,764 logical pages of this device
+        trace = tmp_path / "far.csv"
+        trace.write_text("".join(f"{i * 10},W,{i * 1000},1\n" for i in range(100)))
+        argv = ["replay", "--trace", str(trace), "--blocks", "16", "--chips", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "WRITE  n=     3" in out
+        assert "past the 2,764 logical pages: 97 requests dropped, 0 trimmed" in out
+
+    def test_replay_counts_a_trimmed_request(self, capsys, tmp_path):
+        trace = tmp_path / "edge.csv"
+        trace.write_text("0,W,0,1\n10,W,2762,4\n")
+        argv = ["replay", "--trace", str(trace), "--blocks", "16", "--chips", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "past the 2,764 logical pages: 0 requests dropped, 1 trimmed" in out
 
 
 #: one seeded violation per rule family (file name -> (source, expected

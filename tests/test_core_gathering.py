@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.assembly.base import CHUNK_BYTES, LanePool
+from repro.characterization.datasets import BlockMeasurement
 from repro.core.eigen import eigen_sequence
 from repro.core.gathering import GatheringError, GatheringUnit
 from repro.core.records import BlockRecord
-from repro.nand import SMALL_GEOMETRY
+from repro.core.scheme import gather_pool
+from repro.exp import SimConfig
+from repro.exp.build import build_stack
+from repro.nand import PAPER_GEOMETRY, SMALL_GEOMETRY
 from repro.utils.bitvec import BitVector
 
 
@@ -83,6 +88,60 @@ class TestRecordContents:
         record = unit.gather_measurement(1, 0, 5, matrix, pe_cycles=7)
         assert record.lane == 1 and record.block == 5
         assert record.pgm_total_us == pytest.approx(matrix.sum())
+
+
+def _measured(plane, block, pe, seed, geometry=SMALL_GEOMETRY):
+    """A block whose even layers hold a tied string pair."""
+    rng = np.random.default_rng(seed)
+    shape = (geometry.layers_per_block, geometry.strings_per_layer)
+    matrix = np.round(rng.normal(1700, 10, size=shape), 1)
+    matrix[::2, 2] = matrix[::2, 0]
+    matrix.setflags(write=False)
+    return BlockMeasurement(0, plane, block, pe, matrix, 3000.0)
+
+
+class TestBatchGather:
+    """``gather_pool`` (one ``gather_stack`` per chunk) against one
+    :meth:`GatheringUnit.gather_measurement` call per block, and both
+    against the unit fed each block's word-lines one report at a time."""
+
+    @staticmethod
+    def _assert_matches_per_block(pool, geometry):
+        batch = gather_pool(pool)
+        unit = GatheringUnit(geometry)
+        assert len(batch) == len(pool)
+        for got, m in zip(batch, pool.blocks):
+            want = unit.gather_measurement(
+                pool.lane, m.plane, m.block, m.wl_latencies_us, m.pe_cycles
+            )
+            unit.open_block(pool.lane, m.plane, m.block, m.pe_cycles)
+            for lwl, latency in enumerate(m.wl_latencies_us.reshape(-1).tolist()):
+                fed = unit.report(pool.lane, m.plane, m.block, lwl, latency)
+            for record in (got, want):
+                assert record.key() == fed.key() == (pool.lane, m.plane, m.block)
+                assert repr(record.pgm_total_us) == repr(fed.pgm_total_us), m.key()
+                assert record.eigen == fed.eigen, m.key()
+                assert record.pe_cycles == fed.pe_cycles == m.pe_cycles
+
+    def test_pool_longer_than_one_chunk(self):
+        pool = build_stack(SimConfig.testbed(seed=5, chips=2, pool_blocks=100)).pools()[1]
+        lwls = PAPER_GEOMETRY.lwls_per_block
+        assert pool.blocks[0].wl_latencies_us.size == lwls
+        per_chunk = CHUNK_BYTES // (4 * 8 * lwls)
+        assert len(pool) > 2 * per_chunk and len(pool) % per_chunk  # a short last chunk
+        self._assert_matches_per_block(pool, PAPER_GEOMETRY)
+
+    def test_pool_spanning_two_planes(self):
+        blocks = [
+            _measured(plane, block, pe=plane * 100 + block, seed=10 * plane + block)
+            for block in range(6)
+            for plane in (1, 0)
+        ]
+        self._assert_matches_per_block(LanePool(lane=2, blocks=blocks), SMALL_GEOMETRY)
+
+    def test_one_block_pool(self):
+        pool = LanePool(lane=3, blocks=[_measured(1, 31, pe=9, seed=4)])
+        self._assert_matches_per_block(pool, SMALL_GEOMETRY)
 
 
 class TestFootprint:

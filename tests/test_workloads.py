@@ -51,10 +51,11 @@ class TestRequest:
             Request(time_us=1, op=OpKind.WRITE, lpn=20, pages=1),
             Request(time_us=2, op=OpKind.WRITE, lpn=0, pages=2),
         ]
-        clamped = clamp_requests(requests, 10)
+        clamped, dropped, trimmed = clamp_requests(requests, 10)
         assert len(clamped) == 2
         assert clamped[0].pages == 2  # trimmed at the boundary
         assert clamped[1].lpn == 0
+        assert (dropped, trimmed) == (1, 1)
 
 
 class TestGenerators:
