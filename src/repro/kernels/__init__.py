@@ -14,6 +14,8 @@ The :mod:`repro.kernels.engine` module composes the kernels into the
 ``SimConfig.backend``.
 """
 
+from repro.core.eigen import eigen_bitvectors, pack_eigen_bits
+from repro.core.gathering import block_program_totals
 from repro.kernels.engine import VectorFtl, VectorSsd
 from repro.kernels.mapping import ArrayPageMapper
 from repro.kernels.reliability import EccBatchResult, ecc_read_batch, rber_batch
@@ -22,16 +24,13 @@ from repro.kernels.signatures import (
     batch_pwl_rank,
     batch_str_median,
     batch_str_rank,
-    eigen_bitvectors,
     eigen_distance_matrix,
-    pack_eigen_bits,
     signature_distance_matrix,
 )
 from repro.kernels.variation import (
     SuperwlStats,
     batch_erase_latencies,
     block_latency_stack,
-    block_program_totals,
     superwl_stats,
 )
 from repro.kernels.workload import fill_request_count, sequential_fill_prefix

@@ -20,7 +20,7 @@ How the fast write path stays identical:
   precomputed with :func:`~repro.kernels.variation.superwl_stats` semantics.
 * Gathering is *deferred*: instead of feeding every word-line's latency to
   the QSTR-MED gatherer, the block totals (a strict-left-fold ``cumsum``)
-  and eigen bits (:func:`~repro.kernels.signatures.pack_eigen_bits`) are
+  and eigen sequences (:func:`~repro.core.gathering.gather_stack`) are
   bulk-ingested at seal time via
   :meth:`~repro.core.scheme.QstrMedScheme.ingest_block_record` — cumulative
   counters and the resulting :class:`BlockRecord` are identical.
@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.assembler import SpeedClass
+from repro.core.gathering import gather_stack
 from repro.core.placement import WriteIntent, WriteSource
 from repro.core.records import BlockRecord
 from repro.ftl.allocator import QstrAllocator
@@ -51,8 +52,6 @@ from repro.ftl.ftl import FlushReport, Ftl, ReadResult
 from repro.ftl.superblock import ManagedSuperblock
 from repro.ftl.writebuffer import BufferedPage, WriteStream
 from repro.kernels.mapping import ArrayPageMapper
-from repro.kernels.signatures import eigen_bitvectors, pack_eigen_bits
-from repro.kernels.variation import block_program_totals
 from repro.nand.chip import FlashChip
 from repro.nand.geometry import PageType
 from repro.obs.registry import MetricsRegistry
@@ -341,9 +340,8 @@ class VectorFtl(Ftl):
         """Bulk-deliver the deferred gathering metadata of a sealed superblock."""
         if not self._fast_gathering:
             return
-        totals = block_program_totals(st.lat)
+        totals, eigens = gather_stack(st.stack)
         lwls = self._lwls_per_block
-        eigens = eigen_bitvectors(pack_eigen_bits(st.stack), lwls)
         scheme = self.allocator.scheme  # type: ignore[attr-defined]
         for i, record in enumerate(st.members):
             scheme.ingest_block_record(

@@ -22,7 +22,8 @@ from repro.assembly.signatures import (
     signature_distance,
 )
 from repro.characterization.datasets import BlockMeasurement
-from repro.core.gathering import GatheringError, GatheringUnit
+from repro.core.eigen import eigen_bitvectors, pack_eigen_bits
+from repro.core.gathering import GatheringError, GatheringUnit, block_program_totals
 from repro.ftl.mapping import MappingError, PageMapper, PhysicalSlot
 from repro.kernels import (
     ArrayPageMapper,
@@ -32,11 +33,8 @@ from repro.kernels import (
     batch_str_median,
     batch_str_rank,
     block_latency_stack,
-    block_program_totals,
     ecc_read_batch,
-    eigen_bitvectors,
     eigen_distance_matrix,
-    pack_eigen_bits,
     rber_batch,
     sequential_fill_prefix,
     signature_distance_matrix,

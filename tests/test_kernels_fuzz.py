@@ -21,13 +21,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.eigen import pack_eigen_bits
 from repro.kernels import (
     batch_erase_latencies,
     batch_lwl_rank,
     batch_str_median,
     block_latency_stack,
     eigen_distance_matrix,
-    pack_eigen_bits,
     signature_distance_matrix,
     superwl_stats,
 )
