@@ -5,7 +5,9 @@ lists give the reference block more partners to match, at linearly more
 pair checks.  Diminishing returns justify the paper's choice of 4.
 """
 
-from repro.api import evaluate_assembler, QstrMedAssembler, render_table
+from repro.analysis import render_table
+from repro.assembly import evaluate_assembler
+from repro.core import QstrMedAssembler
 
 DEPTHS = (1, 2, 4, 8)
 

@@ -6,7 +6,7 @@ by superblock; QSTR-MED is simply the cheap one.
 
 import numpy as np
 
-from repro.api import (
+from repro.analysis import (
     cumulative_mean,
     fig14_per_superblock,
     improvement_series,

@@ -13,7 +13,8 @@ sequential chamber runs exactly.
 
 import numpy as np
 
-from repro.api import render_series_block, run_sweep, SimConfig, Sweep
+from repro.analysis import render_series_block
+from repro.exp import SimConfig, Sweep, run as run_sweep
 
 PE_POINTS = tuple(range(0, 3001, 300))
 

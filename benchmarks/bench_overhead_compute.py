@@ -8,13 +8,13 @@ and times the actual distance computations to show the wall-clock effect.
 
 import numpy as np
 
-from repro.api import (
+from repro.analysis import render_table
+from repro.assembly import StrMedianAssembler
+from repro.core import (
+    QstrMedAssembler,
     overhead_reduction_pct,
     qstr_med_pair_checks,
-    QstrMedAssembler,
-    render_table,
     str_med_pair_checks,
-    StrMedianAssembler,
 )
 
 

@@ -4,16 +4,11 @@ Paper: 52 bytes per 384-LWL block (4 B latency sum + 48 B eigen bits);
 ~6.5 MB for a 1 TB SSD of 8 MB blocks — negligible next to SSD DRAM.
 """
 
-from repro.api import (
-    derive_seed,
-    FootprintModel,
-    format_bytes,
-    GatheringUnit,
-    PAPER_GEOMETRY,
-    QstrMedScheme,
-    render_table,
-    TIB,
-)
+from repro.analysis import render_table
+from repro.core import FootprintModel, GatheringUnit, QstrMedScheme
+from repro.nand import PAPER_GEOMETRY
+from repro.utils import derive_seed
+from repro.utils.units import TIB, format_bytes
 
 import numpy as np
 

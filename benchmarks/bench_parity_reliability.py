@@ -7,18 +7,17 @@ measurable degraded-read latency cost and a 1/N capacity cost.
 
 import numpy as np
 
-from repro.api import (
+from repro.analysis import render_table
+from repro.ftl import Ftl, FtlConfig
+from repro.nand import (
+    SMALL_GEOMETRY,
     EccConfig,
     EccEngine,
-    export_bench_artifacts,
     FlashChip,
-    Ftl,
-    FtlConfig,
-    render_table,
-    SMALL_GEOMETRY,
     VariationModel,
     VariationParams,
 )
+from repro.obs import export_bench_artifacts
 
 DEAD_PE = 15_000
 BLOCKS = 12

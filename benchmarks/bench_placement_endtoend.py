@@ -7,25 +7,12 @@ host-visible write latency.  This is the experiment the paper motivates but
 only sketches — our SSD substrate lets us run it.
 """
 
-from repro.api import (
-    ArrivalProcess,
-    export_bench_artifacts,
-    FlashChip,
-    Ftl,
-    FtlConfig,
-    MetricsRegistry,
-    NandGeometry,
-    NULL_TRACER,
-    render_table,
-    Replayer,
-    sequential_fill,
-    Ssd,
-    TimingConfig,
-    Tracer,
-    VariationModel,
-    VariationParams,
-    zipf_writes,
-)
+from repro.analysis import render_table
+from repro.ftl import Ftl, FtlConfig
+from repro.nand import FlashChip, NandGeometry, VariationModel, VariationParams
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, export_bench_artifacts
+from repro.ssd import Ssd, TimingConfig
+from repro.workloads import ArrivalProcess, Replayer, sequential_fill, zipf_writes
 
 # A mid-sized geometry: paper-like block structure, fewer blocks, so the
 # bench fills and GCs the drive in seconds.

@@ -8,13 +8,13 @@ of life, and the retry latency shows up in read times.
 
 import numpy as np
 
-from repro.api import (
+from repro.analysis import render_table
+from repro.nand import (
+    SMALL_GEOMETRY,
     EccConfig,
     EccEngine,
     FlashChip,
     PageType,
-    render_table,
-    SMALL_GEOMETRY,
     VariationModel,
     VariationParams,
 )

@@ -8,7 +8,7 @@ random) holds everywhere, even as the percentage moves.
 
 import numpy as np
 
-from repro.api import knob_sweep, render_table, seed_sweep
+from repro.analysis import knob_sweep, render_table, seed_sweep
 
 SEEDS = (7, 99, 555, 2024, 31337)
 

@@ -8,20 +8,12 @@ per-stream superpage completion latencies.
 
 import numpy as np
 
-from repro.api import (
-    derive_seed,
-    export_bench_artifacts,
-    FlashChip,
-    Ftl,
-    FtlConfig,
-    NandGeometry,
-    render_table,
-    VariationModel,
-    VariationParams,
-    WriteIntent,
-    WriteSource,
-    WriteStream,
-)
+from repro.analysis import render_table
+from repro.core import WriteIntent, WriteSource
+from repro.ftl import Ftl, FtlConfig, WriteStream
+from repro.nand import FlashChip, NandGeometry, VariationModel, VariationParams
+from repro.obs import export_bench_artifacts
+from repro.utils import derive_seed
 
 GEOM = NandGeometry(
     planes_per_chip=1,

@@ -8,18 +8,11 @@ compares the erase-count spread.
 
 import numpy as np
 
-from repro.api import (
-    derive_seed,
-    export_bench_artifacts,
-    FlashChip,
-    Ftl,
-    FtlConfig,
-    render_table,
-    SMALL_GEOMETRY,
-    VariationModel,
-    VariationParams,
-    WearLevelingConfig,
-)
+from repro.analysis import render_table
+from repro.ftl import Ftl, FtlConfig, WearLevelingConfig
+from repro.nand import SMALL_GEOMETRY, FlashChip, VariationModel, VariationParams
+from repro.obs import export_bench_artifacts
+from repro.utils import derive_seed
 
 
 def run(leveling: bool):

@@ -5,16 +5,16 @@ The benches reproduce the paper's evaluation at its real scale (four chips,
 evaluations are built once per session and shared; each bench file still
 prints the full table/figure it is responsible for.
 
-Everything is constructed through the stable facade (``repro.api``): the
-default :class:`SimConfig` testbed and :func:`build_stack` — the same path
-the CLI and the sweep runner use.
+Everything is constructed through ``repro.exp``: the default
+:class:`SimConfig` testbed and :func:`build_stack` — the same path the CLI
+and the sweep runner use.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import MethodEvaluator, SimConfig, build_stack
+from repro.exp import MethodEvaluator, SimConfig, build_stack
 
 
 @pytest.fixture(scope="session")

@@ -13,16 +13,14 @@ PV-aware superblock organization:
 Run:  python examples/characterize_chips.py
 """
 
-from repro.api import (
-    build_stack,
-    eigen_sequence,
+from repro.analysis import render_series_block, sparkline
+from repro.characterization import (
     mean_lwl_curve,
-    render_series_block,
     residual_trend_correlation,
-    SimConfig,
-    sparkline,
     variability_report,
 )
+from repro.core import eigen_sequence
+from repro.exp import SimConfig, build_stack
 
 
 def main() -> None:

@@ -12,18 +12,17 @@ Run:  python examples/endurance_story.py
 
 import numpy as np
 
-from repro.api import (
+from repro.ftl import Ftl, FtlConfig
+from repro.nand import (
+    SMALL_GEOMETRY,
     EccConfig,
     EccEngine,
     FlashChip,
-    Ftl,
-    FtlConfig,
     PageType,
-    SMALL_GEOMETRY,
-    UncorrectableReadError,
     VariationModel,
     VariationParams,
 )
+from repro.nand.errors import UncorrectableReadError
 
 
 def fresh_chip(model, lane=0):

@@ -13,20 +13,15 @@ Run:  python examples/ftl_trace_replay.py
 import tempfile
 from pathlib import Path
 
-from repro.api import (
+from repro.ftl import Ftl, FtlConfig
+from repro.nand import FlashChip, NandGeometry, VariationModel, VariationParams
+from repro.ssd import Ssd, TimingConfig
+from repro.workloads import (
     ArrivalProcess,
-    FlashChip,
-    Ftl,
-    FtlConfig,
-    load_trace,
-    NandGeometry,
     Replayer,
+    load_trace,
     save_trace,
     sequential_fill,
-    Ssd,
-    TimingConfig,
-    VariationModel,
-    VariationParams,
     zipf_writes,
 )
 

@@ -10,21 +10,18 @@ Section VI.
 Run:  python examples/ondemand_assembly.py
 """
 
-from repro.api import (
-    build_stack,
+from repro.core import (
     FootprintModel,
-    format_bytes,
-    overhead_reduction_pct,
-    PAPER_GEOMETRY,
-    qstr_med_pair_checks,
     QstrMedScheme,
-    SimConfig,
-    SpeedClass,
-    str_med_pair_checks,
-    TIB,
     WriteIntent,
     WriteSource,
+    overhead_reduction_pct,
+    qstr_med_pair_checks,
+    str_med_pair_checks,
 )
+from repro.exp import SimConfig, build_stack
+from repro.nand import PAPER_GEOMETRY
+from repro.utils.units import TIB, format_bytes
 
 
 def main() -> None:

@@ -8,7 +8,7 @@ paper's QSTR-MED scheme — printing the extra program/erase latency both ways.
 Run:  python examples/quickstart.py
 """
 
-from repro.api import build_stack, MethodEvaluator, SimConfig
+from repro.exp import MethodEvaluator, SimConfig, build_stack
 
 
 def main() -> None:

@@ -7,13 +7,12 @@ was distilled from, and the full substrate needed to evaluate them — a
 generative 3D-NAND process-variation model, a characterization harness, a
 superblock FTL with GC, an SSD timing layer, and workload generators.
 
-Importing this package loads nothing else; the stable import surface is
-:mod:`repro.api`.  Quickstart::
+Importing this package loads nothing else; import each name from the
+package that exports it.  Quickstart::
 
-    from repro.api import (
-        PAPER_GEOMETRY, VariationModel, VariationParams, FlashChip,
-        build_lane_pools, RandomAssembler, QstrMedAssembler, evaluate_assembler,
-    )
+    from repro.assembly import RandomAssembler, build_lane_pools, evaluate_assembler
+    from repro.core import QstrMedAssembler
+    from repro.nand import PAPER_GEOMETRY, FlashChip, VariationModel, VariationParams
 
     model = VariationModel(PAPER_GEOMETRY, VariationParams(), seed=2024)
     chips = [FlashChip(model.chip_profile(c), PAPER_GEOMETRY) for c in range(4)]

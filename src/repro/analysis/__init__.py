@@ -4,31 +4,13 @@ from repro.analysis.experiments import (
     TABLE1_METHODS,
     TABLE2_METHODS,
     TABLE5_METHODS,
-    CharacterizationSeries,
-    MethodRow,
-    PerSuperblockSeries,
-    RandomExtraSeries,
     fig5_characterization,
     fig6_random_extra,
     fig13_distributions,
     fig14_per_superblock,
     run_methods,
 )
-from repro.analysis.faults import (
-    RepairComparison,
-    RepairPolicyResult,
-    compare_repair_policies,
-    default_fault_config,
-    render_repair_comparison,
-    run_repair_policy,
-)
-from repro.analysis.sensitivity import (
-    KNOBS,
-    SensitivityPoint,
-    evaluate_variant,
-    knob_sweep,
-    seed_sweep,
-)
+from repro.analysis.sensitivity import knob_sweep, seed_sweep
 from repro.analysis.figures import (
     cumulative_mean,
     improvement_series,
@@ -48,27 +30,14 @@ from repro.analysis.tables import (
 
 __all__ = [
     "run_methods",
-    "MethodRow",
-    "RepairComparison",
-    "RepairPolicyResult",
-    "compare_repair_policies",
-    "default_fault_config",
-    "render_repair_comparison",
-    "run_repair_policy",
     "TABLE1_METHODS",
     "TABLE2_METHODS",
     "TABLE5_METHODS",
-    "CharacterizationSeries",
     "fig5_characterization",
-    "RandomExtraSeries",
     "fig6_random_extra",
     "fig13_distributions",
-    "PerSuperblockSeries",
     "fig14_per_superblock",
     "sparkline",
-    "KNOBS",
-    "SensitivityPoint",
-    "evaluate_variant",
     "knob_sweep",
     "seed_sweep",
     "render_series_block",

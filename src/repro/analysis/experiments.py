@@ -80,7 +80,7 @@ def fig5_characterization(
 
     Probes the first ``config.pool_blocks`` blocks of every plane of every
     chip of a fresh ``build_stack(config)`` (worn to ``config.pe_cycles``
-    first when set, as :meth:`~repro.exp.Stack.pools` does), so the series
+    first when set, as :meth:`~repro.exp.build.Stack.pools` does), so the series
     never depend on what probed another stack of the same config before.
     """
     chips = build_stack(config).chips

@@ -6,13 +6,8 @@ chip API by :class:`Prober`, never read from the generative model.
 """
 
 from repro.characterization.datasets import BlockMeasurement
-from repro.characterization.extra_latency import (
-    extra_erase_latency,
-    extra_program_latency,
-)
 from repro.characterization.prober import Prober
 from repro.characterization.statistics import (
-    VariabilityReport,
     mean_lwl_curve,
     residual_trend_correlation,
     variability_report,
@@ -21,10 +16,7 @@ from repro.characterization.statistics import (
 
 __all__ = [
     "BlockMeasurement",
-    "extra_program_latency",
-    "extra_erase_latency",
     "Prober",
-    "VariabilityReport",
     "variability_report",
     "wordline_trend_correlation",
     "residual_trend_correlation",

@@ -29,9 +29,10 @@ on them without per-command special cases:
   measured failed — lint findings, a bench regression or speedup gate
   miss, failed sweep cells, a device out of space mid-workload, or fleet
   requests that exhausted every retry;
-* ``2`` — usage error: bad flags, specs, or input files, rejected before
-  (or without) running the experiment — from argparse itself or from the
-  eager validation in the command functions.
+* ``2`` — usage error: bad flags, specs, sizes or input files, rejected
+  before (or without) running the experiment — from argparse itself, from
+  the eager validation in the command functions, or from building the
+  command's config, stack and trace.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ from repro.exp import (
 from repro.ftl import OutOfSpaceError
 from repro.nand import PAPER_GEOMETRY
 from repro.utils.units import TIB, format_bytes
+from repro.workloads import TraceFormatError
+
+#: What building a command's config, stack or trace raises on bad input:
+#: a usage error (exit 2), not a traceback.  The replay or serve call stays
+#: outside the handler, so an error raised while serving surfaces as a bug.
+_BAD_INPUT = (ValueError, OSError, TraceFormatError)
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -107,6 +114,11 @@ def _testbed(args: argparse.Namespace) -> SimConfig:
     return SimConfig.testbed(seed=args.seed, chips=args.chips, pool_blocks=args.blocks)
 
 
+def _bad_input(args: argparse.Namespace, error: Exception) -> int:
+    print(f"repro {args.command}: {error}", file=sys.stderr)
+    return 2
+
+
 def _evaluator(config: SimConfig) -> MethodEvaluator:
     """One evaluator over the testbed's pools, shared by every table/figure."""
     print(
@@ -117,7 +129,11 @@ def _evaluator(config: SimConfig) -> MethodEvaluator:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    evaluator = _evaluator(_testbed(args))
+    try:
+        config = _testbed(args)
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
+    evaluator = _evaluator(config)
     if args.table in ("1", "all"):
         print("\nTable I — eight directions")
         print(render_table1(evaluator.rows(TABLE1_METHODS)))
@@ -131,7 +147,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    config = _testbed(args)
+    try:
+        config = _testbed(args)
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
     if args.figure in ("5", "all"):
         series = fig5_characterization(
             config.with_(chips=2, pool_blocks=min(args.blocks, 200)), curve_blocks=(0, 1)
@@ -279,10 +298,13 @@ def _out_of_space(args: argparse.Namespace, error: Exception) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.workloads import Replayer
 
-    stack = build_stack(_device_config(args))
-    print("formatting ...", file=sys.stderr)
-    ftl = stack.ftl
-    requests = stack.requests()
+    try:
+        stack = build_stack(_device_config(args))
+        print("formatting ...", file=sys.stderr)
+        ftl = stack.ftl
+        requests = stack.requests()
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
     print(f"replaying {len(requests)} requests ...", file=sys.stderr)
     try:
         report = Replayer(stack.ssd).replay(requests)
@@ -327,15 +349,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     total_watch = Stopwatch()
     tracer = Tracer()
     registry = MetricsRegistry()
-    stack = build_stack(
-        _device_config(args, requests=args.requests),
-        tracer=tracer,
-        registry=registry,
-    )
-    print("formatting ...", file=sys.stderr)
-    ssd = stack.ssd
-    ftl = ssd.ftl
-    requests = stack.requests()
+    try:
+        stack = build_stack(
+            _device_config(args, requests=args.requests),
+            tracer=tracer,
+            registry=registry,
+        )
+        print("formatting ...", file=sys.stderr)
+        ssd = stack.ssd
+        ftl = ssd.ftl
+        requests = stack.requests()
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
     print(f"running {len(requests)} requests (traced) ...", file=sys.stderr)
     replay_watch = Stopwatch()
     try:
@@ -454,15 +479,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.exp.sweep import check_run_options
     from repro.policy import resolve_policies
 
-    if args.preset == "device":
-        base = SimConfig.device(
-            seed=args.seed,
-            chips=args.chips,
-            blocks=args.blocks,
-            allocator=args.allocator,
-        )
-    else:
-        base = _testbed(args)
+    try:
+        if args.preset == "device":
+            base = SimConfig.device(
+                seed=args.seed,
+                chips=args.chips,
+                blocks=args.blocks,
+                allocator=args.allocator,
+            )
+        else:
+            base = _testbed(args)
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
     base = _apply_fault_args(base, args)
     if args.fleet is not None:
         from repro.fleet import FleetConfig
@@ -494,8 +522,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for cell in cells:
             resolve_policies(cell.config.policies)
     except ValueError as error:
-        print(f"repro sweep: {error}", file=sys.stderr)
-        return 2
+        return _bad_input(args, error)
     if args.dry_run:
         print(f"task: {sweep.task}")
         print(f"base config: {base.content_hash()}")
@@ -574,18 +601,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as error:
         print(f"repro fleet: bad fleet configuration: {error}", file=sys.stderr)
         return 2
-    config = SimConfig.device(
-        seed=args.seed, chips=args.chips, blocks=args.blocks
-    ).with_(fleet=fleet)
-    config = _apply_fault_args(config, args)
-
     tracer = Tracer()
     registry = MetricsRegistry()
     try:
+        config = SimConfig.device(
+            seed=args.seed, chips=args.chips, blocks=args.blocks
+        ).with_(fleet=fleet)
+        config = _apply_fault_args(config, args)
         sim = build_fleet(config, tracer=tracer, registry=registry)
-    except ValueError as error:
-        print(f"repro fleet: {error}", file=sys.stderr)
-        return 2
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
     print(
         f"serving {fleet.tenants} tenants x {fleet.requests_per_tenant} requests "
         f"over {fleet.devices} devices ...",
@@ -782,18 +807,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
+    try:
+        str_checks = str_med_pair_checks(args.window, args.chips)
+        qstr_checks = qstr_med_pair_checks(args.chips, args.depth)
+        reduction = overhead_reduction_pct(args.window, args.chips, args.depth)
+    except _BAD_INPUT as error:
+        return _bad_input(args, error)
     print("Computing overhead (Section VI-B2):")
-    print(
-        f"  STR-MED({args.window}) pair checks per superblock: "
-        f"{str_med_pair_checks(args.window, args.chips):,}"
-    )
-    print(
-        f"  QSTR-MED(depth {args.depth}) pair checks per superblock: "
-        f"{qstr_med_pair_checks(args.chips, args.depth):,}"
-    )
-    print(
-        f"  reduction: {overhead_reduction_pct(args.window, args.chips, args.depth):.2f}%"
-    )
+    print(f"  STR-MED({args.window}) pair checks per superblock: {str_checks:,}")
+    print(f"  QSTR-MED(depth {args.depth}) pair checks per superblock: {qstr_checks:,}")
+    print(f"  reduction: {reduction:.2f}%")
     footprint = FootprintModel(PAPER_GEOMETRY)
     print("\nSpace overhead (Section VI-D1 / Equation 2):")
     print(f"  bytes per block: {footprint.bytes_per_block}")

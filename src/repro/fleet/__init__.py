@@ -15,25 +15,17 @@ from repro.fleet.breaker import (
     CircuitBreaker,
 )
 from repro.fleet.config import TENANT_PROFILES, FleetConfig
-from repro.fleet.engine import FleetReport, FleetSim
-from repro.fleet.tenants import (
-    TenantRequest,
-    fleet_workload,
-    tenant_profile,
-    tenant_stream,
-)
+from repro.fleet.engine import FleetSim
+from repro.fleet.tenants import fleet_workload, tenant_stream
 
 __all__ = [
     "CircuitBreaker",
     "FleetConfig",
-    "FleetReport",
     "FleetSim",
     "STATE_CLOSED",
     "STATE_HALF_OPEN",
     "STATE_OPEN",
     "TENANT_PROFILES",
-    "TenantRequest",
     "fleet_workload",
-    "tenant_profile",
     "tenant_stream",
 ]

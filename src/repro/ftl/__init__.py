@@ -5,58 +5,19 @@ streams; its allocator is pluggable so the same data path compares
 similarity-checked superblocks against random/sequential baselines.
 """
 
-from repro.ftl.allocator import (
-    AllocationError,
-    BlockAllocator,
-    QstrAllocator,
-    SimpleAllocator,
-    make_allocator,
-)
 from repro.ftl.config import FtlConfig
-from repro.ftl.ftl import (
-    FlushReport,
-    Ftl,
-    IntegrityError,
-    OutOfSpaceError,
-    ReadResult,
-)
-from repro.ftl.mapping import MappingError, PageMapper, PhysicalSlot
-from repro.ftl.metrics import FtlMetrics
-from repro.ftl.superblock import (
-    ManagedSuperblock,
-    SbState,
-    SlotLocation,
-    SuperblockStateError,
-    SuperblockTable,
-)
-from repro.ftl.wear_leveling import WearLeveler, WearLevelingConfig, WearReport
-from repro.ftl.writebuffer import BufferedPage, WriteBuffer, WriteStream
+from repro.ftl.ftl import Ftl, IntegrityError, OutOfSpaceError
+from repro.ftl.superblock import ManagedSuperblock
+from repro.ftl.wear_leveling import WearLeveler, WearLevelingConfig
+from repro.ftl.writebuffer import WriteStream
 
 __all__ = [
     "Ftl",
     "FtlConfig",
-    "FtlMetrics",
-    "FlushReport",
-    "ReadResult",
     "OutOfSpaceError",
     "IntegrityError",
-    "BlockAllocator",
-    "QstrAllocator",
-    "SimpleAllocator",
-    "make_allocator",
-    "AllocationError",
-    "PageMapper",
-    "PhysicalSlot",
-    "MappingError",
     "ManagedSuperblock",
-    "SuperblockTable",
-    "SbState",
-    "SlotLocation",
-    "SuperblockStateError",
     "WearLeveler",
     "WearLevelingConfig",
-    "WearReport",
-    "WriteBuffer",
     "WriteStream",
-    "BufferedPage",
 ]

@@ -23,38 +23,18 @@ always with a comment saying why the exemption is sound.
 
 from __future__ import annotations
 
-from repro.lint.callgraph import CallEdge, CallGraph
-from repro.lint.dataflow import SinkHit, TaintAnalysis
 from repro.lint.engine import lint_paths, lint_sources
-from repro.lint.findings import Finding, Severity
-from repro.lint.project import ModuleInfo, Project
-from repro.lint.registry import (
-    ProgramContext,
-    ProgramRule,
-    Rule,
-    all_rules,
-    get_rule,
-    register_rule,
-)
+from repro.lint.findings import Finding
+from repro.lint.registry import ProgramRule, all_rules, get_rule
 from repro.lint.report import render_json, render_text
 
 __all__ = [
-    "CallEdge",
-    "CallGraph",
     "Finding",
-    "ModuleInfo",
-    "ProgramContext",
     "ProgramRule",
-    "Project",
-    "Rule",
-    "Severity",
-    "SinkHit",
-    "TaintAnalysis",
     "all_rules",
     "get_rule",
     "lint_paths",
     "lint_sources",
-    "register_rule",
     "render_json",
     "render_text",
 ]

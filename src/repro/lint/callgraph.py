@@ -194,6 +194,3 @@ class CallGraph:
                 if edge.callee not in visited:
                     queue.append(edge.callee)
         return visited
-
-    def all_edges(self) -> List[CallEdge]:
-        return [edge for edges in self._edges.values() for edge in edges]

@@ -200,10 +200,6 @@ class TaintAnalysis:
             self._analyze(self.project.functions[qualname], collect=True)
         self.sink_hits.sort(key=lambda h: (h.path, h.line, h.col, h.kind, h.sink))
 
-    def returns_of(self, qualname: str) -> Set[str]:
-        summary = self.summaries.get(qualname)
-        return set(summary.returns) if summary is not None else set()
-
     # -- per-function evaluation --------------------------------------------
 
     def _analyze(self, fn: FunctionInfo, collect: bool) -> None:

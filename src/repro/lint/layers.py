@@ -7,7 +7,7 @@ The simulator is layered as a DAG::
         ↘ perf ——— (importable by every simulation layer) ——————→ kernels / fleet
                                                                → exp
                                                                → analysis
-                                                               → lint / cli / api
+                                                               → lint / cli
 
 Each entry in :data:`LAYER_DEPENDENCIES` names the subpackages a layer may
 import from (its own layer is always allowed).  ``characterization``,
@@ -41,8 +41,7 @@ devices, so it may import everything up to ``workloads``, while ``exp``
 owns its construction (``SimConfig.fleet`` → ``build_fleet``) and is the
 only layer that reaches down into it.  The fleet scheduler runs entirely in
 simulated time — the wall-clock fence (``perf`` below, the whole-program
-taint rules) applies to it like any simulation layer.  ``repro.api`` is the
-top-level façade benchmarks and tools import from.
+taint rules) applies to it like any simulation layer.
 
 :data:`LAYER_EXCEPTIONS` lists the few reviewed module-level edges that cross
 the map, each with a justification here rather than in the importing file.
@@ -192,7 +191,7 @@ LAYER_DEPENDENCIES: Dict[str, FrozenSet[str]] = {
 
 #: top-level aggregator modules allowed to import from any layer.
 TOP_LEVEL_MODULES: FrozenSet[str] = frozenset(
-    {"repro", "repro.api", "repro.cli", "repro.__main__"}
+    {"repro", "repro.cli", "repro.__main__"}
 )
 
 #: (importing subpackage, imported dotted target below ``repro.``) pairs that

@@ -72,10 +72,6 @@ class NandGeometry:
         return self.layers_per_block * self.strings_per_layer
 
     @property
-    def pages_per_lwl(self) -> int:
-        return self.bits_per_cell
-
-    @property
     def pages_per_block(self) -> int:
         """1,152 for the paper's TLC chip."""
         return self.lwls_per_block * self.bits_per_cell

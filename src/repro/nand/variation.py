@@ -555,7 +555,3 @@ class VariationModel:
             )
             self._profiles[chip_id] = profile
         return profile
-
-    @property
-    def shared_field(self) -> SharedWaferField:
-        return self._shared

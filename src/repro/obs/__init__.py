@@ -7,8 +7,8 @@ latency attributable and every distribution visible:
 * :class:`Tracer` / :data:`NULL_TRACER` — sim-time spans, instant
   attribution events and counters; disabled by default at zero cost and
   never allowed to perturb RNG draws or event ordering;
-* :class:`LatencyHistogram` / :class:`LatencyStat` — fixed-bucket
-  histograms with p50/p95/p99/max behind the old mean-only metrics;
+* :class:`~repro.obs.histograms.LatencyStat` — fixed-bucket histograms
+  with p50/p95/p99/max behind the old mean-only metrics;
 * :class:`MetricsRegistry` — central counters, histograms and
   per-resource utilization timelines;
 * exporters — canonical JSONL (byte-identical across same-seed runs) and
@@ -20,7 +20,7 @@ Layering: ``obs`` sits directly above ``utils`` so ``core``/``ftl``/``ssd``
 can all hook into it.
 """
 
-from repro.obs.artifacts import artifacts_dir, export_bench_artifacts
+from repro.obs.artifacts import export_bench_artifacts
 from repro.obs.export import (
     read_jsonl,
     to_chrome,
@@ -28,28 +28,14 @@ from repro.obs.export import (
     write_chrome,
     write_jsonl,
 )
-from repro.obs.histograms import (
-    DEFAULT_LATENCY_BUCKETS_US,
-    LatencyHistogram,
-    LatencyStat,
-    merge_histograms,
-)
-from repro.obs.registry import Counter, MetricsRegistry, UtilizationTimeline
+from repro.obs.registry import MetricsRegistry
 from repro.obs.report import TraceSummary, render_report
-from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "Tracer",
-    "NullTracer",
     "NULL_TRACER",
-    "TraceEvent",
-    "LatencyHistogram",
-    "LatencyStat",
-    "DEFAULT_LATENCY_BUCKETS_US",
-    "merge_histograms",
-    "Counter",
     "MetricsRegistry",
-    "UtilizationTimeline",
     "TraceSummary",
     "render_report",
     "to_jsonl",
@@ -57,6 +43,5 @@ __all__ = [
     "read_jsonl",
     "to_chrome",
     "write_chrome",
-    "artifacts_dir",
     "export_bench_artifacts",
 ]

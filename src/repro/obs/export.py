@@ -73,7 +73,7 @@ def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
     return events
 
 
-def to_chrome(events: Sequence[TraceEvent], pid: int = 1) -> Dict[str, Any]:
+def to_chrome(events: Sequence[TraceEvent]) -> Dict[str, Any]:
     """The Chrome ``trace_event`` document for a recorded event list.
 
     Events are ordered by ``(ts, seq)`` (viewers require non-decreasing
@@ -86,7 +86,7 @@ def to_chrome(events: Sequence[TraceEvent], pid: int = 1) -> Dict[str, Any]:
         {
             "ph": "M",
             "name": "thread_name",
-            "pid": pid,
+            "pid": 1,
             "tid": tids[track],
             "args": {"name": track},
         }
@@ -98,7 +98,7 @@ def to_chrome(events: Sequence[TraceEvent], pid: int = 1) -> Dict[str, Any]:
             "name": event.name,
             "cat": event.cat,
             "ts": event.ts_us,
-            "pid": pid,
+            "pid": 1,
             "tid": tids[event.track],
             "args": dict(event.args),
         }
@@ -111,11 +111,9 @@ def to_chrome(events: Sequence[TraceEvent], pid: int = 1) -> Dict[str, Any]:
 
 
 @profiled("obs.export")
-def write_chrome(
-    path: Union[str, Path], events: Sequence[TraceEvent], pid: int = 1
-) -> int:
+def write_chrome(path: Union[str, Path], events: Sequence[TraceEvent]) -> int:
     """Write the Chrome trace JSON; returns the number of trace rows."""
-    document = to_chrome(events, pid)
+    document = to_chrome(events)
     Path(path).write_text(
         json.dumps(document, sort_keys=True, separators=_JSON_SEPARATORS),
         encoding="utf-8",

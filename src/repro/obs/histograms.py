@@ -1,19 +1,18 @@
 """Fixed-bucket latency histograms with percentile estimation.
 
 Mean-only accounting hides exactly what the paper cares about — the tail a
-slow superblock member adds to a multi-plane command.  :class:`LatencyHistogram`
-keeps a fixed, geometry-free bucket ladder (so two runs always bucket
-identically and histograms merge trivially) plus exact min/max/mean via an
-embedded :class:`~repro.utils.stats.RunningStats`, and estimates p50/p95/p99
-by linear interpolation inside the owning bucket.  :class:`LatencyStat` is
-the drop-in accumulator the FTL metrics use: one ``add()`` feeds both the
-running moments and the histogram.
+slow superblock member adds to a multi-plane command.  :class:`LatencyStat`,
+the accumulator the FTL metrics use, keeps a fixed, geometry-free bucket
+ladder (so two runs always bucket identically) plus exact min/max/mean via
+an embedded :class:`~repro.utils.stats.RunningStats`, and estimates
+p50/p95/p99 by linear interpolation inside the owning bucket.  One
+``add()`` feeds both the running moments and the buckets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.utils.stats import RunningStats
 
@@ -29,15 +28,18 @@ DEFAULT_LATENCY_BUCKETS_US: Tuple[float, ...] = tuple(
 ) + (1e7,)
 
 
-class LatencyHistogram:
-    """Counts per fixed bucket; quantiles interpolated within buckets.
+class LatencyStat:
+    """Latency accumulator: exact running moments plus fixed-bucket counts.
 
     ``bounds`` are the inclusive upper edges of the finite buckets; one
-    extra overflow bucket catches everything above the last bound.  Exact
-    min/max/mean/count come from the embedded :class:`RunningStats`, so
-    quantile estimates can be clamped to the truly observed range (the
-    overflow bucket in particular reports the exact maximum instead of an
-    invented edge).
+    extra overflow bucket (``counts[-1]``) catches everything above the last
+    bound.  Exact min/max/mean/count come from the embedded
+    :class:`RunningStats`, so quantile estimates are clamped to the truly
+    observed range (the overflow bucket in particular reports the exact
+    maximum instead of an invented edge).  Keeps the :class:`RunningStats`
+    surface (``mean``/``count``/``minimum``/``maximum``/``stdev``/``total``)
+    the metrics consumers use, and adds the tail view (``p50``/``p95``/
+    ``p99``) the flat means were hiding.
     """
 
     __slots__ = ("bounds", "counts", "stats")
@@ -60,17 +62,46 @@ class LatencyHistogram:
         self.counts[bisect_right(self.bounds, value)] += 1
 
     def extend(self, values: Iterable[float]) -> None:
+        stats, counts, bounds = self.stats, self.counts, self.bounds
         for value in values:
-            self.add(value)
+            stats.add(value)
+            counts[bisect_right(bounds, value)] += 1
 
     @property
     def count(self) -> int:
         return self.stats.count
 
     @property
-    def overflow(self) -> int:
-        """Samples above the last bucket bound."""
-        return self.counts[-1]
+    def mean(self) -> float:
+        return self.stats.mean
+
+    @property
+    def stdev(self) -> float:
+        return self.stats.stdev
+
+    @property
+    def minimum(self) -> float:
+        return self.stats.minimum
+
+    @property
+    def maximum(self) -> float:
+        return self.stats.maximum
+
+    @property
+    def total(self) -> float:
+        return self.stats.total
+
+    @property
+    def p50(self) -> float:
+        return self.quantile(0.50)
+
+    @property
+    def p95(self) -> float:
+        return self.quantile(0.95)
+
+    @property
+    def p99(self) -> float:
+        return self.quantile(0.99)
 
     def quantile(self, q: float) -> float:
         """Estimated q-quantile (q in [0, 1]), clamped to the observed range.
@@ -121,90 +152,6 @@ class LatencyHistogram:
             "max": self.stats.maximum,
         }
 
-    def nonzero_buckets(self) -> List[Tuple[float, int]]:
-        """(upper_bound, count) for populated buckets; inf marks overflow."""
-        edges = list(self.bounds) + [float("inf")]
-        return [
-            (edges[i], count) for i, count in enumerate(self.counts) if count
-        ]
-
-    def __repr__(self) -> str:
-        if self.stats.count == 0:
-            return "LatencyHistogram(empty)"
-        return (
-            f"LatencyHistogram(n={self.stats.count}, "
-            f"p50={self.quantile(0.5):.1f}, p99={self.quantile(0.99):.1f}, "
-            f"max={self.stats.maximum:.1f})"
-        )
-
-
-class LatencyStat:
-    """RunningStats + LatencyHistogram behind one ``add()``.
-
-    Keeps the :class:`RunningStats` surface (``mean``/``count``/``minimum``/
-    ``maximum``/``stdev``/``total``) the existing metrics consumers use, and
-    adds the tail view (``p50``/``p95``/``p99``) the flat means were hiding.
-    """
-
-    __slots__ = ("histogram",)
-
-    def __init__(
-        self, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS_US
-    ) -> None:
-        self.histogram = LatencyHistogram(bounds)
-
-    def add(self, value: float) -> None:
-        self.histogram.add(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.histogram.extend(values)
-
-    @property
-    def _stats(self) -> RunningStats:
-        return self.histogram.stats
-
-    @property
-    def count(self) -> int:
-        return self._stats.count
-
-    @property
-    def mean(self) -> float:
-        return self._stats.mean
-
-    @property
-    def stdev(self) -> float:
-        return self._stats.stdev
-
-    @property
-    def minimum(self) -> float:
-        return self._stats.minimum
-
-    @property
-    def maximum(self) -> float:
-        return self._stats.maximum
-
-    @property
-    def total(self) -> float:
-        return self._stats.total
-
-    @property
-    def p50(self) -> float:
-        return self.histogram.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.histogram.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.histogram.quantile(0.99)
-
-    def quantile(self, q: float) -> float:
-        return self.histogram.quantile(q)
-
-    def summary(self) -> Dict[str, float]:
-        return self.histogram.summary()
-
     def __repr__(self) -> str:
         if self.count == 0:
             return "LatencyStat(empty)"
@@ -212,22 +159,3 @@ class LatencyStat:
             f"LatencyStat(n={self.count}, mean={self.mean:.2f}, "
             f"p99={self.p99:.2f}, max={self.maximum:.2f})"
         )
-
-
-def merge_histograms(
-    histograms: Sequence[LatencyHistogram],
-) -> Optional[LatencyHistogram]:
-    """Sum same-shaped histograms (the fixed ladder makes this exact)."""
-    if not histograms:
-        return None
-    first = histograms[0]
-    merged = LatencyHistogram(first.bounds)
-    stats = RunningStats()
-    for histogram in histograms:
-        if histogram.bounds != first.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, count in enumerate(histogram.counts):
-            merged.counts[index] += count
-        stats = stats.merge(histogram.stats)
-    merged.stats = stats
-    return merged

@@ -25,7 +25,6 @@ import it (the scope calls are no-ops unless a profiler is active).
 """
 
 from repro.perf.bench import (
-    BENCH_SEED,
     FULL,
     QUICK,
     SuiteScale,
@@ -36,16 +35,10 @@ from repro.perf.bench import (
     render_suite,
     run_suite,
 )
-from repro.perf.compare import (
-    BenchComparison,
-    MetricComparison,
-    compare_docs,
-    render_comparison,
-)
+from repro.perf.compare import compare_docs, render_comparison
 from repro.perf.hotspots import HotFunction, profile_callable, render_hotspots
 from repro.perf.profiler import (
     Profiler,
-    ProfileNode,
     Stopwatch,
     activate,
     active_profiler,
@@ -64,7 +57,6 @@ from repro.perf.schema import SCHEMA_VERSION, validate_bench_doc
 
 __all__ = [
     "Profiler",
-    "ProfileNode",
     "Stopwatch",
     "activate",
     "active_profiler",
@@ -84,15 +76,12 @@ __all__ = [
     "SuiteScale",
     "QUICK",
     "FULL",
-    "BENCH_SEED",
     "run_suite",
     "render_suite",
     "profiled_replay",
     "hotspot_rows",
     "git_sha",
     "env_fingerprint",
-    "BenchComparison",
-    "MetricComparison",
     "compare_docs",
     "render_comparison",
 ]

@@ -9,22 +9,17 @@ built-in static and learned policies.
 
 from repro.policy.base import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     AssemblyContext,
     AssemblyPolicy,
-    Policy,
-    RepairContext,
-    RepairPolicy,
 )
 from repro.policy.registry import (
-    POLICIES,
     get_policy,
     make_policy,
     policy_names,
     register_policy,
 )
-from repro.policy.resolve import ResolvedPolicies, resolve_policies
+from repro.policy.resolve import resolve_policies
 from repro.policy.spec import (
     DEFAULT_SPECS,
     POLICY_POINTS,
@@ -34,41 +29,22 @@ from repro.policy.spec import (
 
 # importing these modules populates the registry with the built-ins
 from repro.policy.learned import BanditAllocationPolicy, LatencyPredictorPolicy
-from repro.policy.static import (
-    QstrAssemblyPolicy,
-    QstrRepairPolicy,
-    RandomRepairPolicy,
-    StaticAllocationPolicy,
-    choose_similar,
-    speed_candidates,
-)
+from repro.policy import static  # noqa: F401
 
 __all__ = [
     "POLICY_POINTS",
     "DEFAULT_SPECS",
     "PolicySpec",
     "PolicyConfig",
-    "Policy",
     "AssemblyPolicy",
     "AllocationPolicy",
-    "RepairPolicy",
     "AssemblyContext",
     "AllocationContext",
-    "AllocationDecision",
-    "RepairContext",
-    "POLICIES",
     "register_policy",
     "get_policy",
     "policy_names",
     "make_policy",
-    "ResolvedPolicies",
     "resolve_policies",
-    "QstrAssemblyPolicy",
-    "StaticAllocationPolicy",
-    "QstrRepairPolicy",
-    "RandomRepairPolicy",
     "LatencyPredictorPolicy",
     "BanditAllocationPolicy",
-    "choose_similar",
-    "speed_candidates",
 ]

@@ -1,13 +1,10 @@
 """SSD device layer: channel/die timing on top of the FTL."""
 
-from repro.ssd.device import CompletedRequest, Ssd, SsdMetrics
-from repro.ssd.timing import ResourceClock, TimingConfig, default_lane_channel_map
+from repro.ssd.device import Ssd
+from repro.ssd.timing import TimingConfig, default_lane_channel_map
 
 __all__ = [
     "Ssd",
-    "SsdMetrics",
-    "CompletedRequest",
     "TimingConfig",
-    "ResourceClock",
     "default_lane_channel_map",
 ]

@@ -10,7 +10,7 @@ shows up directly in host-visible service times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.core.placement import WriteIntent, WriteSource
 from repro.ftl.ftl import FlushReport, Ftl
@@ -132,10 +132,6 @@ class Ssd:
                 pages=request.pages,
             )
         return completed
-
-    def run(self, requests: Sequence[Request]) -> List[CompletedRequest]:
-        """Service a whole trace in order."""
-        return [self.submit(request) for request in requests]
 
     def _service_write(self, request: Request, now: float) -> float:
         finish = now + self.timing.command_overhead_us

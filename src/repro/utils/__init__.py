@@ -4,17 +4,6 @@ These helpers are deliberately dependency-light; everything above them
 (`repro.nand`, `repro.assembly`, `repro.core`, ...) builds on this layer.
 """
 
-from repro.utils.bitvec import BitVector
-from repro.utils.rng import RngFactory, derive_seed
-from repro.utils.sortedlist import SortedKeyList
-from repro.utils.stats import Histogram, RunningStats, summarize
+from repro.utils.rng import derive_seed
 
-__all__ = [
-    "BitVector",
-    "RngFactory",
-    "derive_seed",
-    "SortedKeyList",
-    "Histogram",
-    "RunningStats",
-    "summarize",
-]
+__all__ = ["derive_seed"]

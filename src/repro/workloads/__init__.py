@@ -1,7 +1,7 @@
 """Workloads: request model, synthetic generators, trace I/O, replay."""
 
 from repro.workloads.model import OpKind, Request, clamp_requests
-from repro.workloads.replay import Replayer, ReplayReport
+from repro.workloads.replay import Replayer
 from repro.workloads.synthetic import (
     ArrivalProcess,
     hot_cold_writes,
@@ -13,7 +13,6 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.trace import (
     TraceFormatError,
-    iter_trace,
     load_trace,
     parse_trace_line,
     save_trace,
@@ -24,7 +23,6 @@ __all__ = [
     "Request",
     "clamp_requests",
     "Replayer",
-    "ReplayReport",
     "ArrivalProcess",
     "sequential_fill",
     "uniform_random_writes",
@@ -33,7 +31,6 @@ __all__ = [
     "hot_cold_writes",
     "small_large_mix",
     "TraceFormatError",
-    "iter_trace",
     "load_trace",
     "parse_trace_line",
     "save_trace",

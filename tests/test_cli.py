@@ -135,6 +135,34 @@ def _seeded_tree(tmp_path, name, source):
     return path
 
 
+#: Bad sizes and trace files, caught while building the config, stack or trace.
+BAD_INPUT = {
+    "run-one-chip": ["run", "--chips", "1"],
+    "run-too-few-blocks": ["run", "--blocks", "3"],
+    "run-negative-requests": ["run", "--requests", "-5"],
+    "run-negative-interarrival": ["run", "--interarrival-us", "-1"],
+    "replay-missing-trace": ["replay", "--trace", "{tmp}/missing.csv"],
+    "replay-malformed-trace": ["replay", "--trace", "{tmp}/bad.csv"],
+    "tables-no-blocks": ["tables", "--blocks", "0"],
+    "figures-no-blocks": ["figures", "--blocks", "0"],
+    "sweep-no-blocks": ["sweep", "--blocks", "0", "--dry-run"],
+    "fleet-one-chip": ["fleet", "--chips", "1"],
+    "overhead-no-chips": ["overhead", "--chips", "0"],
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
+    def test_exits_two_with_one_line(self, capsys, tmp_path, argv):
+        (tmp_path / "bad.csv").write_text("garbage\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        prefix = f"repro {argv[0]}: "
+        assert sum(line.startswith(prefix) for line in captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestRunCommand:
     def test_run_writes_all_artifacts(self, capsys, tmp_path):
         chrome = tmp_path / "run.trace.json"

@@ -3,18 +3,23 @@
 ``examples/`` is linted elsewhere; here each fast example runs end to end
 in its own interpreter, and the README's first python block is executed as
 written.  ``sweep_policies.py`` (~30 s) and ``ftl_trace_replay.py`` (writes
-a trace file) are left to manual runs.  Every ``benchmarks/bench_*.py`` must
-be named by some CI step, or nothing runs it.
+a trace file) are left to manual runs, but every ``from repro... import``
+name in them, in the benches, the tools and the README/DESIGN python
+blocks is resolved here without running the code.  Every ``benchmarks/bench_*.py`` must be
+named by some CI step, or nothing runs it.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 import pytest
 
@@ -40,6 +45,45 @@ def _run(args: List[str]) -> subprocess.CompletedProcess:
     )
 
 
+def _consumer_sources() -> List[Tuple[str, str]]:
+    """(label, code) for each bench, tool and example file and doc python block."""
+    sources = [
+        (str(path.relative_to(ROOT)), path.read_text(encoding="utf-8"))
+        for folder in ("benchmarks", "tools", "examples")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    for doc in ("README.md", "DESIGN.md"):
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+        sources.extend((f"{doc} block {i}", code) for i, code in enumerate(blocks))
+    return sources
+
+
+def _resolves(module: str, name: str) -> bool:
+    return hasattr(importlib.import_module(module), name) or (
+        importlib.util.find_spec(f"{module}.{name}") is not None
+    )
+
+
+def test_consumer_imports_resolve() -> None:
+    # Code outside src imports each name from the package that exports it;
+    # a name that leaves its package fails here, not in the first bench run.
+    imports = [
+        (label, node.module, alias.name)
+        for label, code in _consumer_sources()
+        for node in ast.walk(ast.parse(code, label))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+    ]
+    unresolved = [
+        f"{label}: from {module} import {name}"
+        for label, module, name in imports
+        if not _resolves(module, name)
+    ]
+    assert imports and not unresolved, unresolved
+
+
 def test_every_bench_runs_in_ci() -> None:
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
     benches = sorted(path.name for path in (ROOT / "benchmarks").glob("bench_*.py"))
@@ -59,13 +103,12 @@ def test_readme_quickstart_runs(capsys: pytest.CaptureFixture) -> None:
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL)
     assert block is not None, "README.md lost its python quickstart"
     code = block.group(1)
-    assert "from repro.api import" in code
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_quickstart"})
     assert "% better" in capsys.readouterr().out
 
 
 def test_import_repro_loads_no_submodule() -> None:
-    # repro.api is the one facade; the package root must stay empty
+    # code outside src imports from the packages; the root stays empty
     probe = (
         "import sys, repro; "
         "print(sorted(m for m in sys.modules if m.startswith('repro.')))"

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs.histograms import (
-    DEFAULT_LATENCY_BUCKETS_US,
-    LatencyHistogram,
-    LatencyStat,
-    merge_histograms,
-)
+from repro.obs.histograms import DEFAULT_LATENCY_BUCKETS_US, LatencyStat
 
 
 class TestBucketLadder:
@@ -20,21 +15,21 @@ class TestBucketLadder:
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
-            LatencyHistogram(())
+            LatencyStat(())
         with pytest.raises(ValueError):
-            LatencyHistogram((1.0, 1.0, 2.0))
+            LatencyStat((1.0, 1.0, 2.0))
         with pytest.raises(ValueError):
-            LatencyHistogram((5.0, 1.0))
+            LatencyStat((5.0, 1.0))
 
 
 class TestEmptyHistogram:
     def test_quantile_raises(self):
-        hist = LatencyHistogram()
+        stat = LatencyStat()
         with pytest.raises(ValueError):
-            hist.quantile(0.5)
+            stat.quantile(0.5)
 
     def test_summary_is_zeros(self):
-        summary = LatencyHistogram().summary()
+        summary = LatencyStat().summary()
         assert summary == {
             "count": 0.0,
             "mean": 0.0,
@@ -45,69 +40,65 @@ class TestEmptyHistogram:
         }
 
     def test_count_and_overflow(self):
-        hist = LatencyHistogram()
-        assert hist.count == 0
-        assert hist.overflow == 0
-        assert hist.nonzero_buckets() == []
+        stat = LatencyStat()
+        assert stat.count == 0
+        assert not any(stat.counts)
 
 
 class TestSingleSample:
     def test_all_quantiles_collapse_to_value(self):
-        hist = LatencyHistogram()
-        hist.add(137.0)
+        stat = LatencyStat()
+        stat.add(137.0)
         for q in (0.0, 0.5, 0.95, 0.99, 1.0):
-            assert hist.quantile(q) == pytest.approx(137.0)
-        summary = hist.summary()
+            assert stat.quantile(q) == pytest.approx(137.0)
+        summary = stat.summary()
         assert summary["count"] == 1.0
         assert summary["mean"] == pytest.approx(137.0)
         assert summary["max"] == pytest.approx(137.0)
 
     def test_invalid_q(self):
-        hist = LatencyHistogram()
-        hist.add(1.0)
+        stat = LatencyStat()
+        stat.add(1.0)
         with pytest.raises(ValueError):
-            hist.quantile(-0.1)
+            stat.quantile(-0.1)
         with pytest.raises(ValueError):
-            hist.quantile(1.1)
+            stat.quantile(1.1)
 
 
 class TestOverflowBucket:
     def test_overflow_reports_exact_maximum(self):
-        hist = LatencyHistogram()
-        hist.add(3e7)  # above the last 1e7 bound
-        assert hist.overflow == 1
-        assert hist.quantile(0.99) == pytest.approx(3e7)
-        assert hist.summary()["max"] == pytest.approx(3e7)
+        stat = LatencyStat()
+        stat.add(3e7)  # above the last 1e7 bound
+        assert stat.counts[-1] == 1
+        assert stat.quantile(0.99) == pytest.approx(3e7)
+        assert stat.summary()["max"] == pytest.approx(3e7)
 
     def test_overflow_mixes_with_finite_buckets(self):
-        hist = LatencyHistogram()
-        hist.extend([10.0] * 99)
-        hist.add(5e7)
-        assert hist.overflow == 1
-        assert hist.quantile(0.5) <= 20.0
-        assert hist.quantile(1.0) == pytest.approx(5e7)
+        stat = LatencyStat()
+        stat.extend([10.0] * 99)
+        stat.add(5e7)
+        assert stat.counts[-1] == 1
+        assert stat.quantile(0.5) <= 20.0
+        assert stat.quantile(1.0) == pytest.approx(5e7)
 
 
 class TestQuantiles:
     def test_monotone_and_clamped(self):
-        hist = LatencyHistogram()
-        hist.extend(float(v) for v in range(1, 1001))
-        p50, p95, p99 = hist.quantile(0.5), hist.quantile(0.95), hist.quantile(0.99)
-        assert hist.stats.minimum <= p50 <= p95 <= p99 <= hist.stats.maximum
+        stat = LatencyStat()
+        stat.extend(float(v) for v in range(1, 1001))
+        p50, p95, p99 = stat.quantile(0.5), stat.quantile(0.95), stat.quantile(0.99)
+        assert stat.minimum <= p50 <= p95 <= p99 <= stat.maximum
         # Bucket interpolation stays within the ladder's ~2x resolution.
         assert 200.0 <= p50 <= 1000.0
 
-    def test_merge(self):
-        one, two = LatencyHistogram(), LatencyHistogram()
-        one.extend([10.0, 20.0])
-        two.extend([30.0, 2e7])
-        merged = merge_histograms([one, two])
-        assert merged.count == 4
-        assert merged.overflow == 1
-        assert merged.stats.maximum == pytest.approx(2e7)
-        assert merge_histograms([]) is None
-        with pytest.raises(ValueError):
-            merge_histograms([one, LatencyHistogram((1.0, 2.0))])
+    def test_extend_matches_repeated_add(self):
+        values = [0.5, 3.0, 3.0, 250.0, 1e7, 2e7, 7.5]
+        one, many = LatencyStat(), LatencyStat()
+        one.extend(values)
+        for value in values:
+            many.add(value)
+        assert one.counts == many.counts
+        assert one.summary() == many.summary()
 
 
 class TestLatencyStat:

@@ -125,14 +125,6 @@ class TestService:
         assert ssd.metrics.read_latency_us.count == 1
         assert ssd.metrics.requests == total + 1
 
-    def test_run_trace(self):
-        ssd = build_ssd()
-        requests = [
-            Request(time_us=i * 100.0, op=OpKind.WRITE, lpn=i % 5) for i in range(20)
-        ]
-        completed = ssd.run(requests)
-        assert len(completed) == 20
-
     def test_utilization_report(self):
         ssd = build_ssd()
         for i in range(ssd.ftl.buffer.superwl_pages * 2):

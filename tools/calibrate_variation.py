@@ -13,14 +13,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.api import (
-    build_stack,
-    MethodEvaluator,
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE5,
-    SimConfig,
-)
+from repro.analysis import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE5
+from repro.exp import MethodEvaluator, SimConfig, build_stack
 
 #: printed in this order; ``--fast`` leaves out the three slow searches.
 METHODS = (

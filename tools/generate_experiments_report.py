@@ -22,32 +22,29 @@ from typing import List
 
 import numpy as np
 
-from repro.api import (
-    build_stack,
+from repro.analysis import (
+    PAPER_TABLE1,
+    PAPER_TABLE2,
+    PAPER_TABLE5,
+    TABLE1_METHODS,
+    TABLE2_METHODS,
+    TABLE5_METHODS,
     cumulative_mean,
     fig13_distributions,
     fig14_per_superblock,
     fig6_random_extra,
-    FootprintModel,
-    format_bytes,
-    MethodEvaluator,
-    overhead_reduction_pct,
-    PAPER_GEOMETRY,
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE5,
-    qstr_med_pair_checks,
     render_histogram,
     render_series_block,
-    run_sweep,
-    SimConfig,
-    str_med_pair_checks,
-    Sweep,
-    TABLE1_METHODS,
-    TABLE2_METHODS,
-    TABLE5_METHODS,
-    TIB,
 )
+from repro.core import (
+    FootprintModel,
+    overhead_reduction_pct,
+    qstr_med_pair_checks,
+    str_med_pair_checks,
+)
+from repro.exp import MethodEvaluator, SimConfig, Sweep, build_stack, run as run_sweep
+from repro.nand import PAPER_GEOMETRY
+from repro.utils.units import TIB, format_bytes
 
 
 def carried_sections(path: str) -> List[str]:
