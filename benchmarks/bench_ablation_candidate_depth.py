@@ -5,7 +5,7 @@ lists give the reference block more partners to match, at linearly more
 pair checks.  Diminishing returns justify the paper's choice of 4.
 """
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.assembly import evaluate_assembler
 from repro.core import QstrMedAssembler
 

@@ -5,7 +5,7 @@ does the binarization give up vs the 2-bit string ranks at the same window,
 and what does it buy in signature size?
 """
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 
 
 def test_ablation_eigen_bits(benchmark, evaluator):

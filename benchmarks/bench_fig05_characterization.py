@@ -7,7 +7,8 @@ chip but diverge across chips once the common layer shape is removed.
 
 import numpy as np
 
-from repro.analysis import fig5_characterization, render_series_block
+from repro.analysis import fig5_characterization
+from repro.analysis.figures import render_series_block
 
 
 def test_fig05_characterization(benchmark, sim_config):

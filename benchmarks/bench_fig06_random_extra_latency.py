@@ -4,7 +4,8 @@ The paper reports 13,084.17 µs average extra program latency and 41.71 µs
 average extra erase latency when superblocks are grouped at random.
 """
 
-from repro.analysis import fig6_random_extra, render_series_block
+from repro.analysis import fig6_random_extra
+from repro.analysis.figures import render_series_block
 
 
 def test_fig06_random_extra_latency(benchmark, evaluator):

@@ -5,7 +5,8 @@ Paper: QSTR-MED reduces extra PGM latency by 16.61% and extra ERS latency by
 method), within ~380 µs of the impractical optimal.
 """
 
-from repro.analysis import TABLE5_METHODS, render_table
+from repro.analysis import TABLE5_METHODS
+from repro.analysis.tables import render_table
 
 PAPER_PGM_IMP = {"SEQUENTIAL": 10.45, "OPTIMAL(8)": 19.49, "QSTR-MED(4)": 16.61, "STR-MED(4)": 16.74}
 

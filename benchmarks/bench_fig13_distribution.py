@@ -6,7 +6,8 @@ short extra latency under QSTR-MED, while random's mass sits to the right.
 
 import numpy as np
 
-from repro.analysis import fig13_distributions, render_histogram
+from repro.analysis import fig13_distributions
+from repro.analysis.figures import render_histogram
 from repro.utils.stats import percentile
 
 METHODS = ["QSTR-MED(4)", "OPTIMAL(8)"]

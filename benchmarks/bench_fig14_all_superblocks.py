@@ -6,9 +6,9 @@ by superblock; QSTR-MED is simply the cheap one.
 
 import numpy as np
 
-from repro.analysis import (
+from repro.analysis import fig14_per_superblock
+from repro.analysis.figures import (
     cumulative_mean,
-    fig14_per_superblock,
     improvement_series,
     render_series_block,
 )

@@ -13,8 +13,9 @@ sequential chamber runs exactly.
 
 import numpy as np
 
-from repro.analysis import render_series_block
-from repro.exp import SimConfig, Sweep, run as run_sweep
+from repro.analysis.figures import render_series_block
+from repro.exp import SimConfig
+from repro.exp.sweep import Sweep, run as run_sweep
 
 PE_POINTS = tuple(range(0, 3001, 300))
 

@@ -6,9 +6,7 @@ This bench confirms the analytic counts, the instrumented runtime counts,
 and times the actual distance computations to show the wall-clock effect.
 """
 
-import numpy as np
-
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.assembly import StrMedianAssembler
 from repro.core import (
     QstrMedAssembler,

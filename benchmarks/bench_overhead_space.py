@@ -4,7 +4,7 @@ Paper: 52 bytes per 384-LWL block (4 B latency sum + 48 B eigen bits);
 ~6.5 MB for a 1 TB SSD of 8 MB blocks — negligible next to SSD DRAM.
 """
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.core import FootprintModel, GatheringUnit, QstrMedScheme
 from repro.nand import PAPER_GEOMETRY
 from repro.utils import derive_seed

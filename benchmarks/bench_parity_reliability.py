@@ -7,7 +7,7 @@ measurable degraded-read latency cost and a 1/N capacity cost.
 
 import numpy as np
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.ftl import Ftl, FtlConfig
 from repro.nand import (
     SMALL_GEOMETRY,
@@ -17,7 +17,7 @@ from repro.nand import (
     VariationModel,
     VariationParams,
 )
-from repro.obs import export_bench_artifacts
+from repro.obs.artifacts import export_bench_artifacts
 
 DEAD_PE = 15_000
 BLOCKS = 12

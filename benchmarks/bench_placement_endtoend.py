@@ -7,10 +7,11 @@ host-visible write latency.  This is the experiment the paper motivates but
 only sketches — our SSD substrate lets us run it.
 """
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.ftl import Ftl, FtlConfig
 from repro.nand import FlashChip, NandGeometry, VariationModel, VariationParams
-from repro.obs import NULL_TRACER, MetricsRegistry, Tracer, export_bench_artifacts
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs.artifacts import export_bench_artifacts
 from repro.ssd import Ssd, TimingConfig
 from repro.workloads import ArrivalProcess, Replayer, sequential_fill, zipf_writes
 

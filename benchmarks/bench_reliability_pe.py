@@ -8,7 +8,7 @@ of life, and the retry latency shows up in read times.
 
 import numpy as np
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.nand import (
     SMALL_GEOMETRY,
     EccConfig,

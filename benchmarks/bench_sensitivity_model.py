@@ -8,7 +8,8 @@ random) holds everywhere, even as the percentage moves.
 
 import numpy as np
 
-from repro.analysis import knob_sweep, render_table, seed_sweep
+from repro.analysis.sensitivity import knob_sweep, seed_sweep
+from repro.analysis.tables import render_table
 
 SEEDS = (7, 99, 555, 2024, 31337)
 

@@ -8,11 +8,11 @@ per-stream superpage completion latencies.
 
 import numpy as np
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.core import WriteIntent, WriteSource
 from repro.ftl import Ftl, FtlConfig, WriteStream
 from repro.nand import FlashChip, NandGeometry, VariationModel, VariationParams
-from repro.obs import export_bench_artifacts
+from repro.obs.artifacts import export_bench_artifacts
 from repro.utils import derive_seed
 
 GEOM = NandGeometry(

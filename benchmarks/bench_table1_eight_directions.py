@@ -5,7 +5,8 @@ OPTIMAL(8) 19.49%, LWL-RANK(8) 14.11%, PWL-RANK(8) 15.57%, STR-RANK(8)
 18.27%, STR-MED(4) 16.74%.  We assert the orderings, not the digits.
 """
 
-from repro.analysis import TABLE1_METHODS, render_table1
+from repro.analysis import TABLE1_METHODS
+from repro.analysis.tables import render_table1
 
 
 def test_table1_eight_directions(benchmark, evaluator):

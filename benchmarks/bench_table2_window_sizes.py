@@ -4,7 +4,8 @@ Paper: 18.27 / 18.05 / 17.42 / 15.02 % — larger windows help monotonically,
 with diminishing returns above 4.
 """
 
-from repro.analysis import TABLE2_METHODS, render_table2
+from repro.analysis import TABLE2_METHODS
+from repro.analysis.tables import render_table2
 
 
 def test_table2_window_sizes(benchmark, evaluator):

@@ -5,7 +5,8 @@ optimal 10,533.44 / 22.65; QSTR-MED(4) 10,911.53 / 25.10;
 STR-MED(4) 10,894.23 / 24.97.
 """
 
-from repro.analysis import TABLE5_METHODS, render_table5
+from repro.analysis import TABLE5_METHODS
+from repro.analysis.tables import render_table5
 
 
 def test_table5_extra_latency(benchmark, evaluator):

@@ -8,10 +8,10 @@ compares the erase-count spread.
 
 import numpy as np
 
-from repro.analysis import render_table
+from repro.analysis.tables import render_table
 from repro.ftl import Ftl, FtlConfig, WearLevelingConfig
 from repro.nand import SMALL_GEOMETRY, FlashChip, VariationModel, VariationParams
-from repro.obs import export_bench_artifacts
+from repro.obs.artifacts import export_bench_artifacts
 from repro.utils import derive_seed
 
 

@@ -13,7 +13,7 @@ PV-aware superblock organization:
 Run:  python examples/characterize_chips.py
 """
 
-from repro.analysis import render_series_block, sparkline
+from repro.analysis.figures import render_series_block, sparkline
 from repro.characterization import (
     mean_lwl_curve,
     residual_trend_correlation,

@@ -19,7 +19,8 @@ state pickles with the config into each worker).
 Run:  python examples/sweep_policies.py
 """
 
-from repro.exp import SimConfig, Sweep, dig, run
+from repro.exp import SimConfig
+from repro.exp.sweep import Sweep, dig, run
 from repro.ftl import FtlConfig
 
 #: enough write pressure that GC and on-demand assembly both run; small

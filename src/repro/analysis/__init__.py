@@ -1,4 +1,11 @@
-"""Analysis: experiment drivers, table renderers, figure series."""
+"""Analysis: experiment drivers, table renderers, figure series.
+
+The package exports the table and figure drivers of
+:mod:`repro.analysis.experiments`.  The renderers (:mod:`repro.analysis.tables`,
+:mod:`repro.analysis.figures`) and the sensitivity sweeps
+(:mod:`repro.analysis.sensitivity`) serve the CLI, the benches and the
+report generator, and are imported by module path.
+"""
 
 from repro.analysis.experiments import (
     TABLE1_METHODS,
@@ -10,23 +17,6 @@ from repro.analysis.experiments import (
     fig14_per_superblock,
     run_methods,
 )
-from repro.analysis.sensitivity import knob_sweep, seed_sweep
-from repro.analysis.figures import (
-    cumulative_mean,
-    improvement_series,
-    render_histogram,
-    render_series_block,
-    sparkline,
-)
-from repro.analysis.tables import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE5,
-    render_table,
-    render_table1,
-    render_table2,
-    render_table5,
-)
 
 __all__ = [
     "run_methods",
@@ -37,18 +27,4 @@ __all__ = [
     "fig6_random_extra",
     "fig13_distributions",
     "fig14_per_superblock",
-    "sparkline",
-    "knob_sweep",
-    "seed_sweep",
-    "render_series_block",
-    "render_histogram",
-    "cumulative_mean",
-    "improvement_series",
-    "PAPER_TABLE1",
-    "PAPER_TABLE2",
-    "PAPER_TABLE5",
-    "render_table",
-    "render_table1",
-    "render_table2",
-    "render_table5",
 ]

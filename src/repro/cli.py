@@ -50,26 +50,17 @@ from repro.analysis import (
     fig6_random_extra,
     fig13_distributions,
     fig14_per_superblock,
-    render_histogram,
-    render_series_block,
-    render_table1,
-    render_table2,
-    render_table5,
 )
-from repro.analysis.figures import cumulative_mean
+from repro.analysis.figures import cumulative_mean, render_histogram, render_series_block
+from repro.analysis.tables import render_table1, render_table2, render_table5
 from repro.core import (
     FootprintModel,
     overhead_reduction_pct,
     qstr_med_pair_checks,
     str_med_pair_checks,
 )
-from repro.exp import (
-    ALLOCATOR_KINDS,
-    DEFAULT_CACHE_DIR,
-    MethodEvaluator,
-    SimConfig,
-    build_stack,
-)
+from repro.exp import ALLOCATOR_KINDS, MethodEvaluator, SimConfig, build_stack
+from repro.exp.cache import DEFAULT_CACHE_DIR
 from repro.ftl import OutOfSpaceError
 from repro.nand import PAPER_GEOMETRY
 from repro.utils.units import TIB, format_bytes
@@ -301,8 +292,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         stack = build_stack(_device_config(args))
         print("formatting ...", file=sys.stderr)
-        ftl = stack.ftl
+        # A --trace CSV is parsed before the format, so a bad file exits at
+        # once; a synthetic workload formats the device to learn its size.
         requests = stack.requests()
+        ftl = stack.ftl
     except _BAD_INPUT as error:
         return _bad_input(args, error)
     print(f"replaying {len(requests)} requests ...", file=sys.stderr)
@@ -335,14 +328,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import (
-        MetricsRegistry,
-        Tracer,
-        TraceSummary,
-        render_report,
-        write_chrome,
-        write_jsonl,
-    )
+    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs.export import write_chrome, write_jsonl
+    from repro.obs.report import TraceSummary, render_report
     from repro.perf import Stopwatch
     from repro.workloads import Replayer
 
@@ -439,7 +427,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs import TraceSummary, read_jsonl, render_report
+    from repro.obs.export import read_jsonl
+    from repro.obs.report import TraceSummary, render_report
 
     events = read_jsonl(args.trace)
     print(render_report(TraceSummary(events), offender_limit=args.limit))
@@ -474,9 +463,8 @@ def _parse_axes(specs: Sequence[str]) -> List[Tuple[str, List[object]]]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exp import ResultCache, Sweep, SweepProgress, default_cache_dir
-    from repro.exp import run as run_sweep
-    from repro.exp.sweep import check_run_options
+    from repro.exp.cache import ResultCache, default_cache_dir
+    from repro.exp.sweep import Sweep, SweepProgress, check_run_options, run as run_sweep
     from repro.policy import resolve_policies
 
     try:
@@ -593,8 +581,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.exp.build import build_fleet
     from repro.fleet import FleetConfig
-    from repro.obs import MetricsRegistry, Tracer, write_chrome, write_jsonl
-    from repro.obs.export import to_jsonl
+    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs.export import to_jsonl, write_chrome, write_jsonl
 
     try:
         fleet = FleetConfig.from_spec(args.fleet) if args.fleet else FleetConfig()
@@ -706,19 +694,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
     import math
 
-    from repro.perf import (
+    from repro.perf.bench import (
         FULL,
         QUICK,
-        compare_docs,
         hotspot_rows,
         profiled_replay,
-        render_comparison,
-        render_hotspots,
-        render_profile,
         render_suite,
         run_suite,
-        validate_bench_doc,
     )
+    from repro.perf.compare import compare_docs, render_comparison
+    from repro.perf.hotspots import render_hotspots
+    from repro.perf.report import render_profile
+    from repro.perf.schema import validate_bench_doc
 
     scale = FULL if args.full else QUICK
 
@@ -968,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_report.set_defaults(func=cmd_obs_report)
 
-    from repro.exp import TASKS
+    from repro.exp.tasks import TASKS
 
     sweep = sub.add_parser(
         "sweep",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.assembly import (
     Assembler,
@@ -49,6 +49,14 @@ _WINDOWED_METHODS: Dict[str, Callable[[int], Assembler]] = {
 }
 
 _WINDOWED_NAME = re.compile(r"^([A-Z-]+)\((\d+)\)$")
+
+#: default method set of the ``methods`` sweep task (the Table V headline rows).
+DEFAULT_METHODS: Tuple[str, ...] = (
+    "SEQUENTIAL",
+    "OPTIMAL(8)",
+    "QSTR-MED(4)",
+    "STR-MED(4)",
+)
 
 
 def method_names() -> List[str]:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Tuple
 from repro.assembly.evaluate import MethodResult
 from repro.exp.build import build_fleet, build_stack
 from repro.exp.config import SimConfig
-from repro.exp.methods import MethodEvaluator
+from repro.exp.methods import DEFAULT_METHODS, MethodEvaluator
 from repro.fleet.config import FleetConfig
 from repro.obs.export import to_jsonl
 from repro.obs.tracer import Tracer
@@ -75,15 +75,6 @@ def _result_doc(result: MethodResult) -> Dict[str, Any]:
         "combinations_checked": result.combinations_checked,
         "pair_checks": result.pair_checks,
     }
-
-
-#: default method set of the ``methods`` task (the Table V headline rows).
-DEFAULT_METHODS: Tuple[str, ...] = (
-    "SEQUENTIAL",
-    "OPTIMAL(8)",
-    "QSTR-MED(4)",
-    "STR-MED(4)",
-)
 
 
 @register_task(

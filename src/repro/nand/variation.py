@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -136,22 +136,36 @@ class VariationParams:
         )
 
 
-def _smooth_noise(rng: np.random.Generator, length: int, sigma: float, smooth: float) -> np.ndarray:
+def _smooth_kernel(smooth: float) -> np.ndarray:
+    """The L2-normalized Gaussian kernel of :func:`_smooth_noise` (``smooth > 1``)."""
+    radius = max(1, int(round(3 * smooth)))
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / smooth) ** 2)
+    kernel /= math.sqrt(float((kernel**2).sum()))
+    return kernel
+
+
+def _smooth_noise(
+    rng: np.random.Generator,
+    length: int,
+    sigma: float,
+    smooth: float,
+    kernel: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Gaussian field with pointwise std ``sigma`` and correlation scale ``smooth``.
 
     White noise convolved with an L2-normalized Gaussian kernel: the output
     has *exactly* std ``sigma`` at every point and zero mean in expectation,
     for any field length (short fields — e.g. the block axis of a scaled-down
     test geometry — must not pick up spurious offsets or inflated variance).
+    ``kernel`` is ``_smooth_kernel(smooth)`` when the caller already has it.
     """
     if length <= 0:
         return np.zeros(0)
     if smooth <= 1.0:
         return rng.normal(0.0, sigma, size=length)
-    radius = max(1, int(round(3 * smooth)))
-    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / smooth) ** 2)
-    kernel /= math.sqrt(float((kernel**2).sum()))
-    raw = rng.normal(0.0, 1.0, size=length + 2 * radius)
+    if kernel is None:
+        kernel = _smooth_kernel(smooth)
+    raw = rng.normal(0.0, 1.0, size=length + len(kernel) - 1)
     return np.convolve(raw, kernel, mode="valid") * sigma
 
 
@@ -288,6 +302,25 @@ class ChipVariationProfile:
             ]
         )  # (d, blocks)
 
+        # What every block's program latencies share, computed once: the
+        # left-to-right prefix sums of the per-block additions (same IEEE
+        # operations in the same order), the smoothing kernel of the block
+        # layer profile, and the string basis as the (d, groups * strings)
+        # matrix that ``np.tensordot(latent, basis, axes=1)`` multiplies.
+        self._plane_prog_base: List[float] = [
+            params.base_prog_us + self._chip_offset + offset
+            for offset in self._plane_offset
+        ]
+        self._layer_base = shared.layer_shape + self._chip_profile
+        self._block_layer_kernel = (
+            _smooth_kernel(params.block_layer_smooth_layers)
+            if params.block_layer_smooth_layers > 1.0
+            else None
+        )
+        basis = shared.string_basis
+        self._string_basis = basis.reshape(basis.shape[0], -1)
+        self._pattern_shape = basis.shape[1:]
+
         self._block_cache: Dict[Tuple[int, int], "_BlockStatics"] = {}
         self._noise_cache: Dict[tuple, np.ndarray] = {}
         self._latency_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
@@ -349,13 +382,16 @@ class ChipVariationProfile:
         if cached is not None:
             return cached
         params = self._params
+        layers = self._geometry.layers_per_block
         profile = _smooth_noise(
             self._rng.generator("block_layer", plane, block),
-            self._geometry.layers_per_block,
+            layers,
             params.sigma_block_layer_us,
             params.block_layer_smooth_layers,
+            self._block_layer_kernel,
         )
-        profile -= profile.mean()
+        # profile.mean() without its wrapper: the same sum over the count
+        profile -= np.add.reduce(profile, None) / layers
         self._noise_cache[key] = profile
         return profile
 
@@ -388,29 +424,28 @@ class ChipVariationProfile:
         geometry = self._geometry
         geometry.check_plane(plane)
         geometry.check_block(block)
-        params = self._params
+        step = self._params.prog_quant_us
         shared = self._shared
         statics = self._block_statics(plane, block)
 
         base = (
-            params.base_prog_us
-            + self._chip_offset
-            + self._plane_offset[plane]
+            self._plane_prog_base[plane]
             + shared.block_drift[block]
             + statics.resid_offset
             + statics.prog_pe_slope * pe
         )
-        per_layer = (
-            shared.layer_shape
-            + self._chip_profile
-            + self._block_layer_profile(plane, block)
-        )  # (layers,)
+        per_layer = self._layer_base + self._block_layer_profile(plane, block)  # (layers,)
         # String pattern: the block's latent coordinates mix the wafer-shared
         # basis patterns into a per-(layer group, string) speed offset.
-        pattern = np.tensordot(statics.latent, shared.string_basis, axes=1)
+        pattern = np.dot(statics.latent.reshape(1, -1), self._string_basis).reshape(
+            self._pattern_shape
+        )
         string_eff = pattern[shared.group_of_layer]  # (layers, strings)
-        raw = base + per_layer[:, None] + string_eff + self._wl_noise(plane, block)
-        latencies = _quantize(raw, params.prog_quant_us)
+        latencies = base + per_layer[:, None] + string_eff + self._wl_noise(plane, block)
+        # _quantize in place: the same division, rounding and product
+        latencies /= step
+        np.rint(latencies, out=latencies)
+        latencies *= step
         latencies.setflags(write=False)
         if len(self._latency_cache) >= 8192:
             self._latency_cache.clear()
@@ -448,7 +483,8 @@ class ChipVariationProfile:
             + statics.ers_noise
             + statics.ers_pe_slope * pe
         )
-        return float(_quantize(raw, params.ers_quant_us))
+        # _quantize without its array wrapper: the same rounding of a scalar
+        return float(np.rint(raw / params.ers_quant_us) * params.ers_quant_us)
 
     def read_latency(self, plane: int, block: int, lwl: int) -> float:
         """tR of a page, µs (mild layer dependence plus chip offset).

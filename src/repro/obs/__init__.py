@@ -11,37 +11,24 @@ latency attributable and every distribution visible:
   with p50/p95/p99/max behind the old mean-only metrics;
 * :class:`MetricsRegistry` — central counters, histograms and
   per-resource utilization timelines;
-* exporters — canonical JSONL (byte-identical across same-seed runs) and
-  Chrome ``trace_event`` JSON for Perfetto / ``chrome://tracing``;
-* :class:`TraceSummary` / :func:`render_report` — the ``repro obs report``
-  rollup, including the slowest-member attribution table.
+* exporters (:mod:`repro.obs.export`, :mod:`repro.obs.artifacts`) —
+  canonical JSONL (byte-identical across same-seed runs) and Chrome
+  ``trace_event`` JSON for Perfetto / ``chrome://tracing``;
+* :mod:`repro.obs.report` — the ``repro obs report`` rollup, including the
+  slowest-member attribution table.
+
+The package exports what a stack records into; the exporters and the
+report serve commands and benches, and are imported by module path.
 
 Layering: ``obs`` sits directly above ``utils`` so ``core``/``ftl``/``ssd``
 can all hook into it.
 """
 
-from repro.obs.artifacts import export_bench_artifacts
-from repro.obs.export import (
-    read_jsonl,
-    to_chrome,
-    to_jsonl,
-    write_chrome,
-    write_jsonl,
-)
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import TraceSummary, render_report
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "Tracer",
     "NULL_TRACER",
     "MetricsRegistry",
-    "TraceSummary",
-    "render_report",
-    "to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
-    "to_chrome",
-    "write_chrome",
-    "export_bench_artifacts",
 ]

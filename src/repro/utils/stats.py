@@ -38,33 +38,6 @@ class RunningStats:
         for value in values:
             self.add(value)
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Combine two accumulators (parallel-merge form of Welford)."""
-        merged = RunningStats()
-        if self._count == 0:
-            merged._copy_from(other)
-            return merged
-        if other._count == 0:
-            merged._copy_from(self)
-            return merged
-        total = self._count + other._count
-        delta = other._mean - self._mean
-        merged._count = total
-        merged._mean = self._mean + delta * other._count / total
-        merged._m2 = (
-            self._m2 + other._m2 + delta * delta * self._count * other._count / total
-        )
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        return merged
-
-    def _copy_from(self, other: "RunningStats") -> None:
-        self._count = other._count
-        self._mean = other._mean
-        self._m2 = other._m2
-        self._min = other._min
-        self._max = other._max
-
     @property
     def count(self) -> int:
         return self._count

@@ -46,10 +46,10 @@ def sequential_fill(
     # ("seq") stream — its prefix guarantee depends on drawing the same bits.
     rng = np.random.default_rng(derive_seed(seed, "seq"))  # reprolint: disable=RNG010
     lpns = list(range(start, logical_pages, pages_per_request))
-    times = arrivals.times(len(lpns), rng)
+    times = arrivals.times(len(lpns), rng).tolist()
     return [
         Request(
-            time_us=float(t),
+            time_us=t,
             op=OpKind.WRITE,
             lpn=lpn,
             pages=min(pages_per_request, logical_pages - lpn),
@@ -69,10 +69,10 @@ def uniform_random_writes(
     """Uniformly random single/multi-page overwrites."""
     rng = np.random.default_rng(derive_seed(seed, "uniform"))
     top = max(1, logical_pages - pages_per_request + 1)
-    lpns = rng.integers(0, top, size=count)
-    times = arrivals.times(count, rng)
+    lpns = rng.integers(0, top, size=count).tolist()
+    times = arrivals.times(count, rng).tolist()
     return [
-        Request(time_us=float(t), op=OpKind.WRITE, lpn=int(lpn), pages=pages_per_request)
+        Request(time_us=t, op=OpKind.WRITE, lpn=lpn, pages=pages_per_request)
         for lpn, t in zip(lpns, times)
     ]
 
@@ -95,16 +95,11 @@ def zipf_writes(
     # pages are scattered, not clustered at lpn 0.
     permutation = rng.permutation(logical_pages)
     lpns = permutation[(ranks - 1) % logical_pages]
-    times = arrivals.times(count, rng)
+    times = arrivals.times(count, rng).tolist()
     top = max(1, logical_pages - pages_per_request + 1)
     return [
-        Request(
-            time_us=float(t),
-            op=OpKind.WRITE,
-            lpn=int(min(lpn, top - 1)),
-            pages=pages_per_request,
-        )
-        for lpn, t in zip(lpns, times)
+        Request(time_us=t, op=OpKind.WRITE, lpn=lpn, pages=pages_per_request)
+        for lpn, t in zip(np.minimum(lpns, top - 1).tolist(), times)
     ]
 
 

@@ -4,31 +4,35 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE5,
     TABLE1_METHODS,
     TABLE2_METHODS,
     TABLE5_METHODS,
-    cumulative_mean,
     fig5_characterization,
     fig6_random_extra,
     fig13_distributions,
     fig14_per_superblock,
+    run_methods,
+)
+from repro.analysis.figures import (
+    cumulative_mean,
     improvement_series,
     render_histogram,
     render_series_block,
+    sparkline,
+)
+from repro.analysis.tables import (
+    PAPER_TABLE1,
+    PAPER_TABLE2,
+    PAPER_TABLE5,
     render_table,
     render_table1,
     render_table2,
     render_table5,
-    run_methods,
-    sparkline,
 )
 from repro.assembly import build_lane_pools, evaluate_assembler
 from repro.characterization import Prober
-from repro.exp import MethodEvaluator, SimConfig, Sweep, build_stack, make_assembler
-from repro.exp import run as run_sweep
+from repro.exp import MethodEvaluator, SimConfig, build_stack, make_assembler
+from repro.exp.sweep import Sweep, run as run_sweep
 from repro.nand import SMALL_GEOMETRY, VariationParams
 from repro.utils.stats import Histogram
 

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.exp import SimConfig, Sweep, build_stack
-from repro.exp import run as run_sweep
+from repro.exp import SimConfig, build_stack
+from repro.exp.sweep import Sweep, run as run_sweep
 from repro.kernels import VectorFtl, VectorSsd
 from repro.obs import Tracer
 from repro.obs.export import write_jsonl

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from repro.cli import build_parser, main
+from repro.ftl.ftl import Ftl
 
 
 class TestParser:
@@ -161,6 +162,16 @@ class TestBadInput:
         assert sum(line.startswith(prefix) for line in captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_replay_reads_the_trace_before_formatting(self, capsys, tmp_path, monkeypatch):
+        # a missing CSV exits before the device format, which takes seconds
+        # at large --blocks
+        formats = []
+        monkeypatch.setattr(Ftl, "format", lambda ftl: formats.append(ftl))
+        argv = ["replay", "--trace", str(tmp_path / "missing.csv"), "--blocks", "2000"]
+        assert main(argv) == 2
+        assert formats == []
+        assert "repro replay: " in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -116,3 +116,37 @@ def test_import_repro_loads_no_submodule() -> None:
     result = _run(["-c", probe])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+#: Modules only commands load: the sweep runner, result cache and task
+#: registry, the ``repro bench`` suite, the trace exporters and report, the
+#: analysis renderers, and the standard-library modules behind them.
+COMMAND_ONLY_MODULES = (
+    "repro.exp.sweep",
+    "repro.exp.cache",
+    "repro.exp.tasks",
+    "repro.perf.bench",
+    "repro.perf.compare",
+    "repro.perf.hotspots",
+    "repro.perf.report",
+    "repro.perf.schema",
+    "repro.obs.artifacts",
+    "repro.obs.export",
+    "repro.obs.report",
+    "repro.analysis.figures",
+    "repro.analysis.sensitivity",
+    "repro.analysis.tables",
+    "concurrent.futures",
+    "cProfile",
+)
+
+
+def test_building_a_stack_loads_no_command_module() -> None:
+    # what builds and serves a stack, a fleet and the paper tables
+    probe = (
+        "import sys, repro.exp.build, repro.analysis.experiments, repro.fleet.tenants; "
+        f"print(sorted(m for m in {COMMAND_ONLY_MODULES!r} if m in sys.modules))"
+    )
+    result = _run(["-c", probe])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

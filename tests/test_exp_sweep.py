@@ -4,14 +4,9 @@ import json
 
 import pytest
 
-from repro.exp import (
-    ResultCache,
-    SimConfig,
-    Sweep,
-    cell_key,
-    code_salt,
-    run,
-)
+from repro.exp import SimConfig
+from repro.exp.cache import ResultCache, cell_key, code_salt
+from repro.exp.sweep import Sweep, run
 from repro.utils.rng import derive_seed
 
 #: small enough that one cell takes well under a second.

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from repro.exp import ResultCache, SimConfig, Sweep, run
-from repro.exp.sweep import _retry_backoff_s
+from repro.exp import SimConfig
+from repro.exp.cache import ResultCache
+from repro.exp.sweep import Sweep, _retry_backoff_s, run
 from repro.exp.tasks import register_task
 
 BASE = SimConfig.testbed(seed=3, chips=2, pool_blocks=10)

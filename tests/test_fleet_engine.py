@@ -25,8 +25,8 @@ import json
 
 import pytest
 
-from repro.exp import SimConfig, Sweep, build_fleet
-from repro.exp import run as run_sweep
+from repro.exp import SimConfig, build_fleet
+from repro.exp.sweep import Sweep, run as run_sweep
 from repro.faults import FaultEvent, FaultPlan
 from repro.fleet import FleetConfig, FleetSim
 from repro.obs import MetricsRegistry, Tracer

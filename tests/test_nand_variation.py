@@ -5,10 +5,12 @@ quantization, within-chip similarity vs cross-chip variation, string-pattern
 latents, erase coupling, wear trends.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.nand import SMALL_GEOMETRY, VariationModel, VariationParams
+from repro.nand import PAPER_GEOMETRY, SMALL_GEOMETRY, VariationModel, VariationParams
 from repro.nand.variation import _quantize, _smooth_noise
 
 
@@ -111,6 +113,113 @@ class TestDeterminism:
 
     def test_chip_profile_cached(self, model):
         assert model.chip_profile(2) is model.chip_profile(2)
+
+
+def _reference_smooth_noise(rng, length, sigma, smooth):
+    """``_smooth_noise`` as first written: the kernel built on every call."""
+    if length <= 0:
+        return np.zeros(0)
+    if smooth <= 1.0:
+        return rng.normal(0.0, sigma, size=length)
+    radius = max(1, int(round(3 * smooth)))
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / smooth) ** 2)
+    kernel /= math.sqrt(float((kernel**2).sum()))
+    raw = rng.normal(0.0, 1.0, size=length + 2 * radius)
+    return np.convolve(raw, kernel, mode="valid") * sigma
+
+
+def _reference_program_latencies(profile, plane, block, pe):
+    """The per-block arithmetic of ``block_program_latencies``, nothing hoisted.
+
+    Every term is rebuilt from the profile's RNG streams and static draws,
+    and summed left to right in the original order.
+    """
+    params, shared, geometry = profile._params, profile._shared, profile._geometry
+    statics = profile._block_statics(plane, block)
+    chip_profile = _reference_smooth_noise(
+        profile._rng.generator("profile"),
+        geometry.layers_per_block,
+        params.sigma_chip_profile_us,
+        params.profile_smooth_layers,
+    )
+    block_layer = _reference_smooth_noise(
+        profile._rng.generator("block_layer", plane, block),
+        geometry.layers_per_block,
+        params.sigma_block_layer_us,
+        params.block_layer_smooth_layers,
+    )
+    block_layer -= block_layer.mean()
+    wl_noise = profile._rng.generator("wl_noise", plane, block).normal(
+        0.0,
+        params.sigma_wl_noise_us,
+        size=(geometry.layers_per_block, geometry.strings_per_layer),
+    )
+    base = (
+        params.base_prog_us
+        + profile._chip_offset
+        + profile._plane_offset[plane]
+        + shared.block_drift[block]
+        + statics.resid_offset
+        + statics.prog_pe_slope * pe
+    )
+    per_layer = shared.layer_shape + chip_profile + block_layer
+    pattern = np.tensordot(statics.latent, shared.string_basis, axes=1)
+    raw = base + per_layer[:, None] + pattern[shared.group_of_layer] + wl_noise
+    return np.round(np.asarray(raw, dtype=float) / params.prog_quant_us) * params.prog_quant_us
+
+
+def _reference_erase_latency(profile, plane, block, pe):
+    params, statics = profile._params, profile._block_statics(plane, block)
+    raw = (
+        params.base_ers_us
+        + profile._chip_ers_offset
+        + params.ers_resid_coupling * statics.resid_offset
+        + params.ers_latent_coupling_us * float(statics.latent @ profile._shared.ers_latent_dir)
+        + statics.ers_noise
+        + statics.ers_pe_slope * pe
+    )
+    return float(np.round(np.asarray(raw, dtype=float) / params.ers_quant_us) * params.ers_quant_us)
+
+
+#: (geometry, params): both string-basis widths (the paper pins exercise
+#: only d = 1), and white-noise chip and block layer profiles.
+ORACLE_CASES = {
+    "small-d1": (SMALL_GEOMETRY, {}),
+    "small-d3": (SMALL_GEOMETRY, {"string_basis_count": 3}),
+    "paper-d1": (PAPER_GEOMETRY, {}),
+    "paper-d3": (PAPER_GEOMETRY, {"string_basis_count": 3}),
+    "small-unsmoothed": (
+        SMALL_GEOMETRY,
+        {"profile_smooth_layers": 1.0, "block_layer_smooth_layers": 0.5},
+    ),
+}
+#: A quantum below one ulp of any latency: quantizing then changes nothing,
+#: so the comparison sees every rounding of the sums, not just the few that
+#: move a value across a 6.1 µs step.
+EXACT_QUANTA = {"prog_quant_us": 2.0**-44, "ers_quant_us": 2.0**-44}
+
+
+class TestLatencyOracle:
+    """Program and erase latencies equal the unhoisted arithmetic, byte for byte."""
+
+    @pytest.mark.parametrize("quanta", ["paper", "exact"])
+    @pytest.mark.parametrize("seed", [5, 2024])
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_latencies_match_the_reference(self, case, seed, quanta):
+        geometry, knobs = ORACLE_CASES[case]
+        params = VariationParams(**knobs, **(EXACT_QUANTA if quanta == "exact" else {}))
+        model = VariationModel(geometry, params, seed=seed)
+        for chip in range(2):
+            profile = model.chip_profile(chip)
+            for plane in range(geometry.planes_per_chip):
+                for block in range(0, geometry.blocks_per_plane, geometry.blocks_per_plane // 16):
+                    for pe in (0, 500):
+                        got = profile.block_program_latencies(plane, block, pe)
+                        want = _reference_program_latencies(profile, plane, block, pe)
+                        assert got.tobytes() == want.tobytes(), (chip, plane, block, pe)
+                        erase = profile.erase_latency(plane, block, pe)
+                        want_erase = _reference_erase_latency(profile, plane, block, pe)
+                        assert np.float64(erase).tobytes() == np.float64(want_erase).tobytes()
 
 
 class TestProgramLatencies:

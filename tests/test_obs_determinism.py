@@ -15,15 +15,9 @@ import pytest
 
 from repro.ftl import Ftl, FtlConfig
 from repro.nand import SMALL_GEOMETRY, FlashChip, VariationModel, VariationParams
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    TraceSummary,
-    Tracer,
-    render_report,
-    to_chrome,
-    to_jsonl,
-)
+from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs.export import to_chrome, to_jsonl
+from repro.obs.report import TraceSummary, render_report
 from repro.ssd import Ssd, TimingConfig
 from repro.workloads import OpKind, Request
 

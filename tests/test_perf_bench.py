@@ -7,17 +7,15 @@ import pytest
 import repro.perf.bench as bench
 from repro.cli import main
 from repro.exp import SimConfig
-from repro.perf import (
+from repro.perf.bench import (
     QUICK,
-    SCHEMA_VERSION,
     SuiteScale,
     env_fingerprint,
     git_sha,
     render_suite,
     run_suite,
-    validate_bench_doc,
 )
-from repro.perf.schema import metric
+from repro.perf.schema import SCHEMA_VERSION, metric, validate_bench_doc
 
 #: a shrunken quick suite so one run_suite call stays test-fast.
 TINY = SuiteScale(

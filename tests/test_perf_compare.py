@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.perf import SCHEMA_VERSION, compare_docs, render_comparison
 from repro.perf.compare import (
     IMPROVED,
     INVALID,
@@ -12,8 +11,10 @@ from repro.perf.compare import (
     NEW,
     OK,
     REGRESSED,
+    compare_docs,
+    render_comparison,
 )
-from repro.perf.schema import metric
+from repro.perf.schema import SCHEMA_VERSION, metric
 
 
 def doc(metrics, suite="quick", schema_version=SCHEMA_VERSION):

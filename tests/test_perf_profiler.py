@@ -12,19 +12,19 @@ from repro.exp import SimConfig, build_stack
 from repro.obs import Tracer
 from repro.obs.export import write_jsonl
 from repro.perf import (
-    LAYER_ALIASES,
-    HotFunction,
     Profiler,
     Stopwatch,
     activate,
     active_profiler,
-    layer_shares,
     perf_count,
     perf_scope,
-    profile_callable,
-    profile_to_dict,
     profiled,
-    render_hotspots,
+)
+from repro.perf.hotspots import HotFunction, profile_callable, render_hotspots
+from repro.perf.report import (
+    LAYER_ALIASES,
+    layer_shares,
+    profile_to_dict,
     render_profile,
     scope_layer,
 )

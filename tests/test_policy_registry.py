@@ -17,7 +17,8 @@ from repro.core import SpeedClass, WriteIntent, WriteSource
 from repro.core.assembler import OnDemandAssembler
 from repro.core.catalog import BlockCatalog
 from repro.core.records import BlockRecord
-from repro.exp import SimConfig, Sweep, run
+from repro.exp import SimConfig
+from repro.exp.sweep import Sweep, run
 from repro.policy import (
     DEFAULT_SPECS,
     POLICY_POINTS,

@@ -38,29 +38,6 @@ class TestRunningStats:
         assert stats.stdev == pytest.approx(np.std(values))
         assert stats.total == pytest.approx(sum(values))
 
-    def test_merge_empty_cases(self):
-        a = RunningStats()
-        b = RunningStats()
-        b.extend([1.0, 2.0])
-        assert a.merge(b).mean == pytest.approx(1.5)
-        assert b.merge(a).mean == pytest.approx(1.5)
-        assert a.merge(RunningStats()).count == 0
-
-    @given(st.lists(floats, min_size=1, max_size=50), st.lists(floats, min_size=1, max_size=50))
-    def test_merge_equals_concat(self, xs, ys):
-        a = RunningStats()
-        a.extend(xs)
-        b = RunningStats()
-        b.extend(ys)
-        merged = a.merge(b)
-        direct = RunningStats()
-        direct.extend(xs + ys)
-        assert merged.count == direct.count
-        assert merged.mean == pytest.approx(direct.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(direct.variance, rel=1e-6, abs=1e-4)
-        assert merged.minimum == direct.minimum
-        assert merged.maximum == direct.maximum
-
     def test_repr(self):
         stats = RunningStats()
         assert "empty" in repr(stats)

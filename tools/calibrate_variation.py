@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.analysis import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE5
+from repro.analysis.tables import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE5
 from repro.exp import MethodEvaluator, SimConfig, build_stack
 
 #: printed in this order; ``--fast`` leaves out the three slow searches.

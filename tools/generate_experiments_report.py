@@ -23,26 +23,27 @@ from typing import List
 import numpy as np
 
 from repro.analysis import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    PAPER_TABLE5,
     TABLE1_METHODS,
     TABLE2_METHODS,
     TABLE5_METHODS,
-    cumulative_mean,
     fig13_distributions,
     fig14_per_superblock,
     fig6_random_extra,
+)
+from repro.analysis.figures import (
+    cumulative_mean,
     render_histogram,
     render_series_block,
 )
+from repro.analysis.tables import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE5
 from repro.core import (
     FootprintModel,
     overhead_reduction_pct,
     qstr_med_pair_checks,
     str_med_pair_checks,
 )
-from repro.exp import MethodEvaluator, SimConfig, Sweep, build_stack, run as run_sweep
+from repro.exp import MethodEvaluator, SimConfig, build_stack
+from repro.exp.sweep import Sweep, run as run_sweep
 from repro.nand import PAPER_GEOMETRY
 from repro.utils.units import TIB, format_bytes
 
